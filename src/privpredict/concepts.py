@@ -90,6 +90,31 @@ class HalfspaceHypothesis:
 Hypothesis = ThresholdHypothesis | EnumeratedHypothesis | HalfspaceHypothesis
 
 
+def evaluate_many(hypotheses, points) -> np.ndarray:
+    """(hypotheses x points) array of +/-1 labels, entry for entry ``h.evaluate(p)``.
+
+    Thresholds compare ``x >= t``.  Halfspaces take each <a, x> as a stacked
+    (1 x d) @ (d x 1) matmul, which runs the same dot kernel as ``evaluate``
+    (a ``points @ a`` matrix-vector product rounds differently).  Any other
+    mix of hypotheses is evaluated one point at a time.
+    """
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    if all(isinstance(h, ThresholdHypothesis) for h in hypotheses):
+        if pts.shape[1] != 1:
+            raise UsageError("threshold hypotheses act on 1-dimensional points")
+        thresholds = np.array([h.threshold for h in hypotheses])
+        positive = pts[None, :, 0] >= thresholds[:, None]
+    elif all(isinstance(h, HalfspaceHypothesis) for h in hypotheses):
+        weights = np.array([h.weights for h in hypotheses])
+        if pts.shape[1] != weights.shape[1] - 1:
+            raise UsageError("halfspace weight dimension does not match the points")
+        dots = np.matmul(weights[:, None, None, :-1], pts[None, :, :, None])[:, :, 0, 0]
+        positive = dots - weights[:, -1:] >= 0.0
+    else:
+        return np.array([[h.evaluate(p) for p in points] for h in hypotheses], dtype=int)
+    return np.where(positive, POSITIVE, NEGATIVE)
+
+
 class ThresholdClass:
     """Thresholds t in {1..size+1} over the integer grid {1..size}."""
 

@@ -72,10 +72,6 @@ class DepthProfile:
         return (self.normals @ pts.T >= -DEPTH_TOL).sum(axis=0).astype(int)
 
 
-def depth(profile: DepthProfile, z) -> int:
-    return profile.depth(z)
-
-
 class FeasibleSubspace:
     """Linear subspace of the parameter space, stored as an orthonormal basis."""
 
@@ -311,6 +307,16 @@ def cdepth(profile: DepthProfile, z, candidates) -> int:
     return int(best)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to ``np.linalg.norm(row)``.
+
+    A stacked (1 x n) @ (n x 1) matmul runs the same dot kernel per row as
+    ``norm`` does for one vector; ``np.linalg.norm(axis=1)`` sums differently
+    and disagrees in the last bit.
+    """
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def arrangement_candidates(
     profile: DepthProfile,
     subspace: FeasibleSubspace,
@@ -322,6 +328,16 @@ def arrangement_candidates(
     Contains every normalized intersection of r-1 constraint boundaries with
     the subspace (r its dimension) plus a deterministic quasi-uniform sphere
     sample, deduplicated to 1e-8.
+
+    Computed in one batch: a stacked SVD over all (r-1)-subsets of the
+    projected normals gives each boundary direction as the pair +dir, -dir in
+    subset order (rank-deficient subsets are skipped), then the sphere draws
+    follow.  Rows come back in that order, and of points equal after rounding
+    to DEDUP_DECIMALS the first one is kept.  The lift into the ambient space
+    and the norms are stacked matrix-vector and vector-vector products, which
+    run the same kernels as ``basis @ c`` and ``np.linalg.norm`` on one
+    candidate, so the result is bit-identical to a per-candidate loop (a
+    single ``coeffs @ basis.T`` is not).  No candidates give shape (0,).
     """
     r = subspace.dimension
     if r < 1:
@@ -333,36 +349,30 @@ def arrangement_candidates(
             f"{n_boundary} boundary candidates exceed the cap {cap}; reduce the "
             "constraint count or dimension"
         )
-    coeffs: list[np.ndarray] = []
     if r == 1:
-        coeffs.extend([np.array([1.0]), np.array([-1.0])])
+        coeffs = np.array([[1.0], [-1.0]])
     else:
-        projected = profile.normals @ subspace.basis if n else np.zeros((0, r))
-        for subset in combinations(range(n), r - 1):
-            block = projected[list(subset), :]
-            _, svals, vt = np.linalg.svd(block)
-            if svals[-1] <= 1e-10:
-                continue  # rank-deficient subset, boundaries do not cut down to a line
-            direction = vt[-1]
-            coeffs.append(direction)
-            coeffs.append(-direction)
-        rng = np.random.default_rng(_SPHERE_SEED)
-        draws = rng.standard_normal((sphere_samples, r))
-        for row in draws:
-            norm = float(np.linalg.norm(row))
-            if norm > 0:
-                coeffs.append(row / norm)
-    seen: dict[tuple, np.ndarray] = {}
-    for c in coeffs:
-        point = subspace.basis @ c
-        norm = float(np.linalg.norm(point))
-        if norm == 0.0:
-            continue
-        point = point / norm
-        key = tuple(np.round(point, DEDUP_DECIMALS))
-        if key not in seen:
-            seen[key] = point
-    return np.array(list(seen.values()))
+        directions = np.zeros((0, r))
+        subsets = np.array(list(combinations(range(n), r - 1)), dtype=np.intp)
+        if len(subsets):
+            _, svals, vt = np.linalg.svd((profile.normals @ subspace.basis)[subsets])
+            # rank-deficient subsets: their boundaries do not cut down to a line
+            directions = vt[svals[:, -1] > 1e-10, -1]
+        draws = np.random.default_rng(_SPHERE_SEED).standard_normal((sphere_samples, r))
+        draw_norms = _row_norms(draws)
+        positive = draw_norms > 0
+        coeffs = np.concatenate([
+            np.stack([directions, -directions], axis=1).reshape(-1, r),
+            draws[positive] / draw_norms[positive, None],
+        ])
+    points = np.matmul(subspace.basis[None], coeffs[:, :, None])[:, :, 0]
+    norms = _row_norms(points)
+    nonzero = norms != 0.0
+    points = points[nonzero] / norms[nonzero, None]
+    if len(points) == 0:
+        return np.empty(0)
+    _, first = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 @dataclass(frozen=True)
@@ -382,22 +392,25 @@ def argmax_cdepth(
 
     Over a finite witness set, cdepth is capped by the maximum witness depth
     and that cap is attained at a maximum-depth candidate, so the argmax
-    reduces to a depth argmax over the candidates.  A zero-dimensional
-    subspace returns the degenerate all-zero hypothesis.
+    reduces to a depth argmax over the candidates.  Ties go to the candidate
+    whose coordinates, rounded to 9 decimals, are lexicographically smallest,
+    then to the earliest candidate; one stable ``np.lexsort`` decides both.
+    A zero-dimensional subspace returns the degenerate all-zero hypothesis;
+    an empty candidate set (no sphere samples and no r-1 independent
+    boundaries) is a ConfigurationError.
     """
     if subspace.dimension == 0:
         zero = np.zeros(subspace.ambient_dim)
         return CdepthArgmax(point=zero, value=profile.depth(zero), degenerate=True)
     candidates = arrangement_candidates(profile, subspace, sphere_samples, cap)
+    if len(candidates) == 0:
+        raise ConfigurationError(
+            "no depth candidates: need sphere_samples > 0 or r-1 independent constraints"
+        )
     cand_depths = profile.depths(candidates)
-    best_idx = 0
-    best_key = None
-    for i in range(len(candidates)):
-        key = (-int(cand_depths[i]), tuple(np.round(candidates[i], 9)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = i
-    return CdepthArgmax(point=candidates[best_idx], value=int(cand_depths[best_idx]), degenerate=False)
+    rounded = np.round(candidates, 9)
+    best = np.lexsort((*rounded.T[::-1], -cand_depths))[0]
+    return CdepthArgmax(point=candidates[best], value=int(cand_depths[best]), degenerate=False)
 
 
 # ---------------------------------------------------------------------------
