@@ -126,14 +126,6 @@ def test_cap_error_comes_first_and_is_unchanged():
         geometry.argmax_cdepth(profile, space, 64, 2000)
 
 
-def test_zero_dimensional_subspace_is_degenerate():
-    profile = DepthProfile(np.array([[1.0, -1.0, 0.5]]))
-    empty = FeasibleSubspace(np.zeros((3, 0)))
-    want = oracle.argmax_cdepth(profile, empty)
-    have = geometry.argmax_cdepth(profile, empty)
-    assert have.degenerate and _same_bits(have.point, want.point) and have.value == want.value == 1
-
-
 # --- whole runs: the batched kernel and block error leave reports byte-identical ---
 
 
