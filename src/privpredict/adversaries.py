@@ -189,16 +189,18 @@ def load_query_csv(path) -> list[Point]:
 
 def van_der_corput_queries(count: int, grid_size: int) -> list[Point]:
     """Deterministic bit-reversal sweep of {1..grid_size}: an oblivious stream that
-    probes the grid at every dyadic scale."""
+    probes the grid at every dyadic scale.
+
+    Query j is 1 + rev(j) * grid_size // 2**bits, with rev(j) the bit reversal
+    of j mod 2**bits.  rev(j) * grid_size < 4**bits fits int64 up to 31 bits;
+    wider grids compute with Python ints.
+    """
     if count < 1 or grid_size < 2:
         raise ConfigurationError("need count >= 1 and grid_size >= 2")
     bits = max(1, (grid_size - 1).bit_length())
-    points: list[Point] = []
-    j = 0
-    while len(points) < count:
-        rev = int(format(j % (2**bits), f"0{bits}b")[::-1], 2)
-        x = 1 + (rev * grid_size) // (2**bits)
-        if x <= grid_size:
-            points.append((float(x),))
-        j += 1
-    return points
+    j = np.arange(min(count, 2**bits)).astype(np.int64 if bits <= 31 else object)
+    rev = np.zeros_like(j)
+    for b in range(bits):
+        rev |= ((j >> b) & 1) << (bits - 1 - b)
+    xs = 1 + rev * grid_size // 2**bits
+    return [(x,) for x in np.resize(xs, count).astype(float).tolist()]

@@ -9,6 +9,7 @@ materialize their hypothesis set.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -115,13 +116,56 @@ def evaluate_many(hypotheses, points) -> np.ndarray:
     return np.where(positive, POSITIVE, NEGATIVE)
 
 
+class ThresholdBlocks:
+    """Fixed 1-d samples laid out once for repeated batched threshold ERM.
+
+    Row i holds block i sorted by floor(x), padded to the longest block.  Only
+    integer thresholds are candidates, and x < t exactly when floor(x) < t, so
+    floors clipped to [0, size + 1] give every candidate's count unchanged.
+    ``cut_err[i, j]`` is block i's error at the cut floor(x_j) + 1, which does
+    not depend on the constraints.  Padding sits at +inf with a +1 label and
+    a cut of 0, so it is never wrong and never a candidate.
+    """
+
+    def __init__(self, samples, size: int):
+        width = max((len(s) for s in samples), default=0)
+        shape = (len(samples), width)
+        self.floors = np.full(shape, np.inf)
+        self.positive = np.ones(shape, dtype=bool)
+        self.cuts = np.zeros(shape, dtype=np.int64)
+        self.cut_err = np.zeros(shape, dtype=np.int64)
+        for i, sample in enumerate(samples):
+            n = len(sample)
+            floors = np.clip(np.floor([p[0] for p in sample.points]), 0, size + 1)
+            order = np.argsort(floors, kind="stable")
+            floors = floors[order]
+            positive = (np.asarray(sample.labels) == POSITIVE)[order]
+            below = np.searchsorted(floors, floors, side="right")  # points with x < cut
+            pos_below = np.concatenate(([0], np.cumsum(positive)))[below]
+            n_neg = n - int(np.count_nonzero(positive))
+            # err(t) = #{+1 points < t} + #{-1 points >= t}
+            self.cut_err[i, :n] = pos_below + n_neg - (below - pos_below)
+            self.floors[i, :n] = floors
+            self.positive[i, :n] = positive
+            self.cuts[i, :n] = floors.astype(np.int64) + 1
+
+
 class ThresholdClass:
-    """Thresholds t in {1..size+1} over the integer grid {1..size}."""
+    """Thresholds t in {1..size+1} over the integer grid {1..size}.
+
+    Thresholds and cuts are compared as float64, so the grid is capped at
+    2**52 points, where every threshold is still exactly representable.
+    """
+
+    MAX_SIZE = 2**52
 
     def __init__(self, size: int):
         if size < 1:
             raise ConfigurationError("grid size must be >= 1")
+        if size > self.MAX_SIZE:
+            raise CapabilityError(f"threshold grids are limited to 2**52 points, got {size}")
         self.size = int(size)
+        self._query_cuts_of: tuple[tuple[Point, ...], list[int]] | None = None
 
     def _interval(self, constraints: tuple[Constraint, ...]) -> tuple[int, int]:
         lo, hi = 1, self.size + 1
@@ -133,6 +177,15 @@ class ThresholdClass:
                 lo = max(lo, x + 1)
         return lo, hi
 
+    def _query_cuts(self, queries) -> list[int]:
+        """Sorted distinct cuts floor(q) + 1 of the queries, kept for the last query tuple."""
+        queries = tuple(queries)  # no copy for a tuple, so a repeated tuple hits by identity
+        cached = self._query_cuts_of
+        if cached is None or (cached[0] is not queries and cached[0] != queries):
+            floors = np.unique(np.floor([q[0] for q in queries])).tolist()
+            cached = self._query_cuts_of = (queries, [int(f) + 1 for f in floors])
+        return cached[1]
+
     def is_empty(self, constraints: tuple[Constraint, ...]) -> bool:
         lo, hi = self._interval(constraints)
         return lo > hi
@@ -141,30 +194,33 @@ class ThresholdClass:
         lo, hi = self._interval(constraints)
         return lo <= h.threshold <= hi
 
-    def erm(self, constraints: tuple[Constraint, ...], sample: LabeledSample) -> ThresholdHypothesis:
+    def erm_blocks(self, constraints: tuple[Constraint, ...], blocks: ThresholdBlocks) -> list[int]:
+        """ERM threshold of every block at once.
+
+        Candidates are lo followed by the block's sorted cuts inside (lo, hi];
+        cuts outside are replaced by lo, so the first argmin is the smallest
+        threshold with the least error.
+        """
         lo, hi = self._interval(constraints)
         if lo > hi:
             raise EmptyVersionSpaceError("no threshold satisfies the constraints")
-        pos = np.sort([p[0] for p, lab in zip(sample.points, sample.labels) if lab == POSITIVE])
-        neg = np.sort([p[0] for p, lab in zip(sample.points, sample.labels) if lab == NEGATIVE])
-        cuts = sorted({int(math.floor(p[0])) + 1 for p in sample.points})
-        candidates = [lo] + [c for c in cuts if lo < c <= hi]
-        best_t, best_err = None, None
-        for t in candidates:
-            # err(t) = #{+1 points < t} + #{-1 points >= t}
-            err = int(np.searchsorted(pos, t, side="left")) + len(neg) - int(
-                np.searchsorted(neg, t, side="left")
-            )
-            if best_err is None or err < best_err:
-                best_t, best_err = t, err
-        return ThresholdHypothesis(int(best_t))
+        inside = (blocks.cuts > lo) & (blocks.cuts <= hi)
+        k, width = inside.shape
+        candidates = np.hstack([np.full((k, 1), lo), np.where(inside, blocks.cuts, lo)])
+        err_lo = np.count_nonzero((blocks.floors < lo) == blocks.positive, axis=1)
+        errors = np.hstack([err_lo[:, None], np.where(inside, blocks.cut_err, width + 1)])
+        best = np.argmin(errors, axis=1)
+        return candidates[np.arange(k), best].tolist()
+
+    def erm(self, constraints: tuple[Constraint, ...], sample: LabeledSample) -> ThresholdHypothesis:
+        return ThresholdHypothesis(self.erm_blocks(constraints, ThresholdBlocks([sample], self.size))[0])
 
     def pattern_count(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> int:
         lo, hi = self._interval(constraints)
         if lo > hi:
             return 0
-        cuts = {int(math.floor(q[0])) + 1 for q in queries}
-        return 1 + sum(1 for c in cuts if lo < c <= hi)
+        cuts = self._query_cuts(queries)
+        return 1 + bisect.bisect_right(cuts, hi) - bisect.bisect_right(cuts, lo)
 
     def pattern_set(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> set[tuple[int, ...]]:
         """Explicit label tuples, materialized from one threshold per pattern cell."""
@@ -173,8 +229,8 @@ class ThresholdClass:
         lo, hi = self._interval(constraints)
         if lo > hi:
             return set()
-        cuts = {int(math.floor(q[0])) + 1 for q in queries}
-        reps = [lo] + sorted(c for c in cuts if lo < c <= hi)
+        cuts = self._query_cuts(queries)
+        reps = [lo] + cuts[bisect.bisect_right(cuts, lo) : bisect.bisect_right(cuts, hi)]
         return {
             tuple(POSITIVE if q[0] >= t else NEGATIVE for q in queries) for t in reps
         }
@@ -364,11 +420,11 @@ class VersionSpace:
     def erm(self, sample: LabeledSample) -> Hypothesis:
         return self.concept_class.erm(self.constraints, sample)
 
-    def pattern_count(self, queries: list[Point]) -> int:
-        return self.concept_class.pattern_count(self.constraints, list(queries))
+    def pattern_count(self, queries) -> int:
+        return self.concept_class.pattern_count(self.constraints, tuple(queries))
 
-    def pattern_set(self, queries: list[Point]) -> set[tuple[int, ...]]:
-        return self.concept_class.pattern_set(self.constraints, list(queries))
+    def pattern_set(self, queries) -> set[tuple[int, ...]]:
+        return self.concept_class.pattern_set(self.constraints, tuple(queries))
 
 
 def vc_dimension(concept_class: ConceptClass) -> int:

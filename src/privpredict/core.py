@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,14 +49,18 @@ class NoiseSource:
     noise primitives (``uniform`` and ``coin``), which then return the
     distribution median; structural randomness (shuffles, data sampling) still
     uses the seeded generator.  Instances are single-owner: derive one child
-    per concurrent task with ``child``.
+    per concurrent task with ``child``.  The generator is built on first use,
+    so a source that only hands out children costs no generator of its own.
     """
 
     def __init__(self, seed: int, zero_noise: bool = False, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.zero_noise = bool(zero_noise)
         self._spawn_key = tuple(_spawn_key)
-        self.rng = np.random.default_rng(
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
         )
 
@@ -102,11 +107,9 @@ class LabeledSample:
     def __post_init__(self):
         if len(self.points) != len(self.labels):
             raise ConfigurationError("points and labels must have equal length")
-        if self.points:
-            d = len(self.points[0])
-            if any(len(p) != d for p in self.points):
-                raise ConfigurationError("all points must share one dimension")
-        if any(lab not in LABELS for lab in self.labels):
+        if len(set(map(len, self.points))) > 1:
+            raise ConfigurationError("all points must share one dimension")
+        if not set(self.labels) <= set(LABELS):
             raise ConfigurationError("labels must be +1 or -1")
 
     def __len__(self) -> int:
@@ -147,9 +150,13 @@ class GridDistribution:
     def label(self, p: Point) -> int:
         return POSITIVE if p[0] >= self.threshold else NEGATIVE
 
+    def labels(self, points: list[Point]) -> tuple[int, ...]:
+        xs = np.array([p[0] for p in points], dtype=float)
+        return tuple(np.where(xs >= self.threshold, POSITIVE, NEGATIVE).tolist())
+
     def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
         xs = noise.rng.integers(1, self.size + 1, size=n)
-        return [(float(x),) for x in xs]
+        return [(x,) for x in xs.astype(float).tolist()]
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,9 @@ class BoxDistribution:
 
     def label(self, p: Point) -> int:
         return POSITIVE if float(np.dot(self.normal, p)) >= self.offset else NEGATIVE
+
+    def labels(self, points: list[Point]) -> tuple[int, ...]:
+        return tuple(self.label(p) for p in points)
 
     def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
         lo = np.asarray(self.low)
@@ -205,6 +215,9 @@ class AtomDistribution:
                 return lab
         raise UsageError(f"point {p!r} is not an atom of this distribution")
 
+    def labels(self, points: list[Point]) -> tuple[int, ...]:
+        return tuple(self.label(p) for p in points)
+
     def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
         idx = noise.rng.choice(len(self.atoms), size=n, p=self.probs)
         return [self.atoms[i] for i in idx]
@@ -218,7 +231,7 @@ def draw_sample(dist: DataDistribution, n: int, noise: NoiseSource) -> LabeledSa
     if n < 1:
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     pts = dist.sample_points(n, noise)
-    return LabeledSample(tuple(pts), tuple(dist.label(p) for p in pts))
+    return LabeledSample(tuple(pts), dist.labels(pts))
 
 
 def partition(sample: LabeledSample, k: int, noise: NoiseSource) -> list[LabeledSample]:

@@ -248,7 +248,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[dict, dict]:
         config_digest=cfg.digest(),
     )
     wall_ms = int((time.perf_counter() - started) * 1000) if cfg.record_timing else 0
-    payload = json.loads(report.to_json())
+    payload = report.to_payload()
     if cfg.heldout:
         fresh = draw_sample(dist, cfg.heldout, root.child(4))
         hyps = hypotheses_from_payload(payload, concept)

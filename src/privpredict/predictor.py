@@ -9,6 +9,7 @@ for halfspaces under adaptive streams.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -21,6 +22,7 @@ from .concepts import (
     EnumeratedHypothesis,
     HalfspaceHypothesis,
     Hypothesis,
+    ThresholdBlocks,
     ThresholdClass,
     ThresholdHypothesis,
     VersionSpace,
@@ -62,7 +64,6 @@ class RunSpec:
     t_upper: float = 0.625
     delta_prime: float = 1e-6
     sphere_samples: int = 64
-    memoize: bool = True
 
     def bt_params(self) -> BTParams:
         return BTParams(
@@ -84,30 +85,41 @@ def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> in
 
 
 class _ObliviousGenerator:
-    """Shared version space + per-block ERM; hypotheses change only on top rounds."""
+    """Shared version space + per-block ERM; hypotheses change only on top rounds.
+
+    Threshold blocks are laid out once and refit in one batched ERM pass; the
+    vote then bisects the sorted thresholds.
+    """
 
     def __init__(self, concept: ConceptClass, blocks: list[LabeledSample]):
         self.concept = concept
         self.blocks = blocks
         self.space = VersionSpace(concept)
+        self._threshold_blocks = (
+            ThresholdBlocks(blocks, concept.size) if isinstance(concept, ThresholdClass) else None
+        )
         self._hypotheses: list[Hypothesis] | None = None
-        self._sorted_thresholds: np.ndarray | None = None
+        self._sorted_thresholds: list[int] | None = None
+
+    def _erm(self) -> list[Hypothesis]:
+        if self._threshold_blocks is None:
+            return [self.space.erm(block) for block in self.blocks]
+        thresholds = self.concept.erm_blocks(self.space.constraints, self._threshold_blocks)
+        self._sorted_thresholds = sorted(thresholds)
+        return [ThresholdHypothesis(t) for t in thresholds]
 
     def refresh(self) -> list[int]:
         """(Re)compute all block hypotheses; returns indices of dropped constraints."""
         dropped: list[int] = []
         while True:
             try:
-                self._hypotheses = [self.space.erm(block) for block in self.blocks]
-                break
+                self._hypotheses = self._erm()
+                return dropped
             except EmptyVersionSpaceError:
                 if not self.space.constraints:
                     raise
                 dropped.append(len(self.space.constraints) - 1)
                 self.space = self.space.drop_newest()
-        if isinstance(self.concept, ThresholdClass):
-            self._sorted_thresholds = np.sort([h.threshold for h in self._hypotheses])
-        return dropped
 
     def invalidate(self) -> None:
         self._hypotheses = None
@@ -121,8 +133,7 @@ class _ObliviousGenerator:
 
     def vote(self, x: Point) -> float:
         if self._sorted_thresholds is not None:
-            positive = int(np.searchsorted(self._sorted_thresholds, x[0], side="right"))
-            return positive / len(self.blocks)
+            return bisect.bisect_right(self._sorted_thresholds, x[0]) / len(self.blocks)
         return vote_fraction(self.hypotheses, x)
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
@@ -243,8 +254,9 @@ class RunReport:
         """The public output channel: emitted labels plus the visible stop."""
         return tuple(self.labels()), self.first_top_round(), self.aborted
 
-    def to_json(self) -> str:
-        payload = {
+    def to_payload(self) -> dict[str, Any]:
+        """The report as a JSON-ready dict; it shares its lists with the report."""
+        return {
             "seed": self.seed,
             "config_digest": self.config_digest,
             "rounds": self.rounds,
@@ -262,7 +274,9 @@ class RunReport:
             "max_block_error": self.max_block_error,
             "wrong_predictions": self.wrong_predictions,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
 
 
 def run(
@@ -297,7 +311,7 @@ def run(
     else:
         raise ConfigurationError(f"unknown generator {spec.generator!r}")
 
-    full_queries = adversary.disclose() if hasattr(adversary, "disclose") else None
+    full_queries = adversary.disclose()
     report = RunReport(seed=seed, config_digest=config_digest,
                        bt_eps=spec.bt_eps, bt_delta=spec.bt_delta)
     ledger = PrivacyLedger()
@@ -316,7 +330,7 @@ def run(
             report.cdepth_progress.append(entry)
 
     for j in range(1, spec.t_rounds + 1):
-        if stale or not spec.memoize:
+        if stale:
             dropped = generator.refresh()
             for idx in dropped:
                 report.fallback_flags.append({"round": j, "dropped_constraint": idx})
@@ -349,7 +363,7 @@ def run(
                 break
             bt_state = bt_init(params, mech_noise)
 
-    if stale or not spec.memoize:
+    if stale:
         dropped = generator.refresh()
         for idx in dropped:
             report.fallback_flags.append({"round": spec.t_rounds + 1, "dropped_constraint": idx})

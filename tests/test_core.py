@@ -127,5 +127,8 @@ def test_empirical_error_empty_sample_errors():
 def test_labeled_sample_validation():
     with pytest.raises(ConfigurationError):
         LabeledSample(((1.0,), (2.0, 3.0)), (1, -1))
+    for bad in (2, 0, 0.5):
+        with pytest.raises(ConfigurationError):
+            LabeledSample(((1.0,), (2.0,)), (1, bad))
     with pytest.raises(ConfigurationError):
-        LabeledSample(((1.0,),), (2,))
+        LabeledSample(((1.0,),), (1, -1))

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from privpredict import harness, predictor
 from privpredict.cli import main
 from privpredict.concepts import ThresholdHypothesis
 from privpredict.core import ConfigurationError, GridDistribution, NoiseSource, draw_sample
@@ -110,6 +111,30 @@ def test_run_trial_heldout_and_payload(tmp_path):
     assert row["seed"] == 10
     hyps = hypotheses_from_payload(payload)
     assert len(hyps) == 52
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(heldout=2000),
+    dict(mode="halfspace", t_rounds=256, d=2, k=0, m=0, n_budget=600, bt_delta=1e-2,
+         adversary_tau=0.11, heldout=500),
+    dict(mode="halfspace", t_rounds=128, d=2, k=0, m=0, n_budget=600, bt_delta=1e-2),
+])
+def test_run_trial_payload_equals_the_report_json(tmp_path, monkeypatch, overrides):
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(predictor.run(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "run", spy)
+    cfg = _small_config(tmp_path, **overrides)
+    _, payload = run_trial(cfg, 0)
+    expected = json.loads(reports[0].to_json())
+    if cfg.heldout:
+        expected["heldout_error"] = payload["heldout_error"]
+    canonical = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))  # noqa: E731
+    assert canonical(payload) == canonical(expected)
+    assert ("heldout_error" in payload) == bool(cfg.heldout)
 
 
 def test_enumerated_concept_mode(tmp_path):

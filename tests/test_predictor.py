@@ -15,6 +15,7 @@ from privpredict.core import (
     NoiseSource,
     draw_sample,
 )
+from privpredict import predictor
 from privpredict.dp import PrivacyLedger, compose_advanced
 from privpredict.predictor import (
     RunSpec,
@@ -163,24 +164,33 @@ def test_ledger_totals_match_composition_exactly():
     assert (eps, delta) == (report.eps_total, report.delta_total)
 
 
-def test_determinism_and_stateless_regeneration():
+def test_determinism_and_stateless_regeneration(monkeypatch):
     a, _ = _criterion_style_run(21)
     b, _ = _criterion_style_run(21)
     assert a.to_json() == b.to_json()
-    spec = RunSpec("oblivious", k=52, m=20, t_rounds=64, bt_eps=8.0, bt_delta=1e-3,
-                   v_max=40, memoize=False)
+    spec = RunSpec("oblivious", k=52, m=20, t_rounds=64, bt_eps=8.0, bt_delta=1e-3, v_max=40)
     domain = 2**12
     dist = GridDistribution(domain, domain // 2 + 1)
-    root = NoiseSource(21)
-    sample = draw_sample(dist, spec.k * spec.m, root.child(2))
+    sample = draw_sample(dist, spec.k * spec.m, NoiseSource(21).child(2))
     adversary = OfflineAdversary(tuple(van_der_corput_queries(64, domain)))
-    no_memo = run(spec, sample, adversary, root, concept=ThresholdClass(domain),
-                  target=dist, seed=21)
-    memo = run(RunSpec("oblivious", k=52, m=20, t_rounds=64, bt_eps=8.0, bt_delta=1e-3,
-                       v_max=40, memoize=True),
-               sample, adversary, NoiseSource(21), concept=ThresholdClass(domain),
-               target=dist, seed=21)
-    assert no_memo.to_json() == memo.to_json()
+
+    def report_json():
+        return run(spec, sample, adversary, NoiseSource(21), concept=ThresholdClass(domain),
+                   target=dist, seed=21).to_json()
+
+    memo = report_json()
+    refreshes = []
+
+    class ForcedRefresh(_ObliviousGenerator):
+        """Recomputes every block hypothesis from the version space before each vote."""
+
+        def vote(self, x):
+            refreshes.append(self.refresh())
+            return super().vote(x)
+
+    monkeypatch.setattr(predictor, "_ObliviousGenerator", ForcedRefresh)
+    assert report_json() == memo
+    assert len(refreshes) == 64 and not any(refreshes)
 
 
 def test_threshold_vote_fast_path_matches_generic():

@@ -1,0 +1,148 @@
+"""The batched threshold ERM, the cached pattern cuts and the array form of the
+van der Corput stream against their scalar oracles, plus the one-pass grid
+labels and the lazily built noise generator.
+
+Agreement is exact: the same integer thresholds, counts and point lists.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import threshold_oracle as oracle
+from privpredict.adversaries import van_der_corput_queries
+from privpredict.concepts import ThresholdBlocks, ThresholdClass, VersionSpace
+from privpredict.core import (
+    CapabilityError,
+    ConfigurationError,
+    EmptyVersionSpaceError,
+    GridDistribution,
+    LabeledSample,
+    NoiseSource,
+    draw_sample,
+)
+
+
+@st.composite
+def coordinates(draw, size):
+    """Grid points, off-grid fractions, a small pool that forces duplicates and
+    ties, and values far outside the grid."""
+    return draw(st.one_of(
+        st.integers(-3, size + 3).map(float),
+        st.floats(-3.0, size + 3.0, allow_nan=False),
+        st.sampled_from([1.0, 2.0, 2.5, float(size), float(size + 1)]),
+        st.sampled_from([-1e18, 1e18, 2.0**60, -2.5e9]),
+    ))
+
+
+@st.composite
+def threshold_cases(draw):
+    size = draw(st.integers(1, 200))
+    single = draw(st.sampled_from([None, 1, -1]))  # None: mixed labels
+    labels = st.just(single) if single else st.sampled_from([1, -1])
+    blocks = draw(st.lists(
+        st.lists(st.tuples(coordinates(size), labels), max_size=12), min_size=1, max_size=6))
+    constraints = draw(st.lists(st.tuples(coordinates(size).map(lambda x: (x,)), st.sampled_from([1, -1])),
+                                max_size=4))
+    samples = [LabeledSample(tuple((x,) for x, _ in blk), tuple(lab for _, lab in blk)) for blk in blocks]
+    return ThresholdClass(size), tuple(constraints), samples
+
+
+@given(threshold_cases())
+@settings(max_examples=300, deadline=None)
+def test_erm_blocks_match_scalar_erm(case):
+    concept, constraints, samples = case
+    lo, hi = concept._interval(constraints)
+    if lo > hi:
+        with pytest.raises(EmptyVersionSpaceError):
+            concept.erm_blocks(constraints, ThresholdBlocks(samples, concept.size))
+        with pytest.raises(EmptyVersionSpaceError):
+            oracle.erm(concept, constraints, samples[0])
+        return
+    expected = [oracle.erm(concept, constraints, s) for s in samples]
+    got = concept.erm_blocks(constraints, ThresholdBlocks(samples, concept.size))
+    assert got == expected and all(type(t) is int for t in got)
+    assert [concept.erm(constraints, s).threshold for s in samples] == expected
+    assert all(lo <= t <= hi for t in got)
+
+
+def test_erm_ties_pick_the_smallest_threshold():
+    concept = ThresholdClass(10)
+    # thresholds 3 and 6 both have error 1; lo = 1 has error 2
+    sample = LabeledSample(((2.0,), (4.0,), (5.0,), (7.0,)), (-1, 1, -1, 1))
+    assert concept.erm((), sample).threshold == oracle.erm(concept, (), sample) == 3
+    # with lo = 4 the tie is between lo and the cut 6
+    empty = LabeledSample((), ())
+    assert concept.erm_blocks((((3.0,), -1),), ThresholdBlocks([empty, sample], concept.size)) == [4, 4]
+
+
+@given(
+    size=st.integers(1, 200),
+    queries=st.lists(st.floats(-5.0, 210.0, allow_nan=False), min_size=1, max_size=40),
+    others=st.lists(st.integers(-5, 210).map(float), min_size=1, max_size=10),
+    constraints=st.lists(st.tuples(st.integers(-3, 203).map(lambda x: (float(x),)),
+                                   st.sampled_from([1, -1])), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_pattern_count_matches_scalar_count(size, queries, others, constraints):
+    concept = ThresholdClass(size)
+    constraints = tuple(constraints)
+    first = tuple((q,) for q in queries)
+    second = [(q,) for q in others]
+    # the same tuple twice (a cache hit), another query list, then the first again
+    for qs in (first, first, second, list(first)):
+        want = oracle.pattern_count(concept, constraints, qs)
+        assert concept.pattern_count(constraints, qs) == want
+        assert len(concept.pattern_set(constraints, qs)) == want
+
+
+def test_pattern_count_through_the_version_space():
+    concept = ThresholdClass(64)
+    queries = tuple((float(x),) for x in (3, 3, 9, 17.5, 40, 64, 70))
+    space = VersionSpace(concept).restrict((10.0,), -1).restrict((50.0,), 1)
+    assert space.pattern_count(queries) == oracle.pattern_count(concept, space.constraints, queries) == 3
+    assert space.restrict((60.0,), -1).pattern_count(queries) == 0
+
+
+@given(count=st.integers(1, 700), grid_size=st.integers(2, 5000))
+@settings(max_examples=200, deadline=None)
+def test_van_der_corput_matches_scalar_loop(count, grid_size):
+    assert van_der_corput_queries(count, grid_size) == oracle.van_der_corput_queries(count, grid_size)
+
+
+@pytest.mark.parametrize("count, grid_size", [
+    (100, 2), (40, 3), (300, 16), (129, 100),  # count > 2**bits: the sweep repeats
+    (50, 2**31), (50, 2**31 + 1), (30, 2**40 + 7), (20, 2**70 + 3),  # past int64 products
+])
+def test_van_der_corput_edges(count, grid_size):
+    got = van_der_corput_queries(count, grid_size)
+    assert got == oracle.van_der_corput_queries(count, grid_size)
+    assert all(type(p[0]) is float for p in got)
+    with pytest.raises(ConfigurationError):
+        van_der_corput_queries(0, grid_size)
+
+
+def test_threshold_grid_cap_is_named():
+    assert ThresholdClass(ThresholdClass.MAX_SIZE).size == 2**52
+    with pytest.raises(CapabilityError, match="2\\*\\*52"):
+        ThresholdClass(ThresholdClass.MAX_SIZE + 1)
+
+
+@given(size=st.integers(1, 2**40), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_labels_match_pointwise_label(size, n, seed, data):
+    dist = GridDistribution(size, data.draw(st.integers(1, size + 1)))
+    sample = draw_sample(dist, n, NoiseSource(seed))
+    assert sample.labels == tuple(dist.label(p) for p in sample.points)
+    assert all(type(lab) is int for lab in sample.labels)
+
+
+def test_noise_generator_is_built_on_first_use():
+    parent = NoiseSource(5)
+    child = parent.child(2).child(0)
+    assert "rng" not in vars(parent)
+    expected = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(2, 0))).random(4)
+    assert np.array_equal(child.rng.random(4), expected)
+    assert "rng" in vars(child) and "rng" not in vars(parent)
