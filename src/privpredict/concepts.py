@@ -123,31 +123,32 @@ class ThresholdBlocks:
     integer thresholds are candidates, and x < t exactly when floor(x) < t, so
     floors clipped to [0, size + 1] give every candidate's count unchanged.
     ``cut_err[i, j]`` is block i's error at the cut floor(x_j) + 1, which does
-    not depend on the constraints.  Padding sits at +inf with a +1 label and
-    a cut of 0, so it is never wrong and never a candidate.
+    not depend on the constraints.  Padding is a +1 point at size + 1: it is
+    never wrong, and its cut size + 2 is never a candidate.
     """
 
     def __init__(self, samples, size: int):
-        width = max((len(s) for s in samples), default=0)
-        shape = (len(samples), width)
-        self.floors = np.full(shape, np.inf)
-        self.positive = np.ones(shape, dtype=bool)
-        self.cuts = np.zeros(shape, dtype=np.int64)
-        self.cut_err = np.zeros(shape, dtype=np.int64)
+        k, width = len(samples), max((len(s) for s in samples), default=0)
+        floors = np.full((k, width), np.inf)
+        positive = np.ones((k, width), dtype=bool)
         for i, sample in enumerate(samples):
-            n = len(sample)
-            floors = np.clip(np.floor([p[0] for p in sample.points]), 0, size + 1)
-            order = np.argsort(floors, kind="stable")
-            floors = floors[order]
-            positive = (np.asarray(sample.labels) == POSITIVE)[order]
-            below = np.searchsorted(floors, floors, side="right")  # points with x < cut
-            pos_below = np.concatenate(([0], np.cumsum(positive)))[below]
-            n_neg = n - int(np.count_nonzero(positive))
-            # err(t) = #{+1 points < t} + #{-1 points >= t}
-            self.cut_err[i, :n] = pos_below + n_neg - (below - pos_below)
-            self.floors[i, :n] = floors
-            self.positive[i, :n] = positive
-            self.cuts[i, :n] = floors.astype(np.int64) + 1
+            floors[i, : len(sample)] = [p[0] for p in sample.points]
+            positive[i, : len(sample)] = np.equal(sample.labels, POSITIVE)
+        floors = np.clip(np.floor(floors), 0, size + 1)
+        order = np.argsort(floors, axis=1, kind="stable")
+        self.floors = np.take_along_axis(floors, order, axis=1)
+        self.positive = np.take_along_axis(positive, order, axis=1)
+        self.cuts = self.floors.astype(np.int64) + 1
+        # below[i, j]: points of block i with x < cut[i, j], i.e. the end of j's run of equal floors
+        run_end = np.ones((k, width), dtype=bool)
+        run_end[:, :-1] = self.floors[:, 1:] != self.floors[:, :-1]
+        ends = np.where(run_end, np.arange(1, width + 1), width)
+        below = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        pos_below = np.take_along_axis(
+            np.hstack([np.zeros((k, 1), dtype=np.int64), np.cumsum(self.positive, axis=1)]), below, axis=1)
+        n_neg = width - np.count_nonzero(self.positive, axis=1)
+        # err(t) = #{+1 points < t} + #{-1 points >= t}
+        self.cut_err = pos_below + n_neg[:, None] - (below - pos_below)
 
 
 class ThresholdClass:
