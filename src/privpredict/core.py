@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +41,29 @@ class StreamExhausted(RuntimeError):
     """A fixed query stream has no further points."""
 
 
+class _FirstUse:
+    """Attribute computed on first read and then stored on the instance.
+
+    Unlike ``functools.cached_property``, the value is stored with ``setattr``
+    rather than through ``__dict__``; on CPython 3.11 touching ``__dict__``
+    materializes the instance dictionary, which slows every later attribute
+    read of that instance (``NoiseSource.uniform`` reads ``rng`` on each draw).
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        setattr(instance, self.name, value)
+        return value
+
+
 class NoiseSource:
     """Seeded randomness with a deterministic zero-noise test mode.
 
@@ -58,7 +80,7 @@ class NoiseSource:
         self.zero_noise = bool(zero_noise)
         self._spawn_key = tuple(_spawn_key)
 
-    @cached_property
+    @_FirstUse
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)

@@ -115,8 +115,6 @@ def test_run_trial_heldout_and_payload(tmp_path):
 
 @pytest.mark.parametrize("overrides", [
     dict(heldout=2000),
-    dict(mode="halfspace", t_rounds=256, d=2, k=0, m=0, n_budget=600, bt_delta=1e-2,
-         adversary_tau=0.11, heldout=500),
     dict(mode="halfspace", t_rounds=128, d=2, k=0, m=0, n_budget=600, bt_delta=1e-2),
 ])
 def test_run_trial_payload_equals_the_report_json(tmp_path, monkeypatch, overrides):
