@@ -9,6 +9,7 @@ by construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,7 +138,7 @@ class BoundaryProbeAdversary(_IncrementalHistory):
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
         self._lo_arr = np.asarray(self.low)
-        self._hi_arr = np.asarray(self.high)
+        self._span = np.asarray(self.high) - self._lo_arr
         self._seen = 0
         self._last_pair = None
         self._reset()
@@ -154,16 +155,21 @@ class BoundaryProbeAdversary(_IncrementalHistory):
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
         self._sync(history)
-        base = noise.rng.uniform(self._lo_arr, self._hi_arr)
+        # what rng.uniform(low, high) computes, at the same stream position,
+        # without its checks on array arguments
+        base = self._lo_arr + self._span * noise.rng.random(len(self.low))
         normal = self._w[:-1]
-        norm = float(np.linalg.norm(normal))
+        norm = math.sqrt(float(np.dot(normal, normal)))  # np.linalg.norm's own formula
         if norm == 0.0:
-            return tuple(float(c) for c in base)
-        on_boundary = base - ((float(normal @ base) - self._w[-1]) / norm**2) * normal
-        side = 1.0 if len(history) % 2 == 0 else -1.0
-        probe = on_boundary + side * self.tau * normal / norm
-        probe = np.clip(probe, self._lo_arr, self._hi_arr)
-        return tuple(float(c) for c in probe)
+            return tuple(base.tolist())
+        shift = (float(np.dot(normal, base)) - float(self._w[-1])) / norm**2
+        step = (1.0 if len(history) % 2 == 0 else -1.0) * self.tau
+        probe = []
+        for b, a, lo, hi in zip(base.tolist(), normal.tolist(), self.low, self.high):
+            c = b - shift * a + step * a / norm  # on the boundary, then tau off it
+            c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie
+            probe.append(c if c < hi else hi)
+        return tuple(probe)
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None

@@ -10,6 +10,7 @@ a hyperplane is a rank-one basis update.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ FEAS_TOL = 1e-9        # Phase-I objective below this certifies feasibility
 INDETERMINATE_TOL = 1e-6   # objectives in (FEAS_TOL, this) trigger the exact re-solve
 REDUNDANCY_TOL = 1e-9  # projections below this leave a subspace unchanged
 DEDUP_DECIMALS = 8
+KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
 
 _SPHERE_SEED = 0x5EED  # candidate sphere samples are fixed across runs by design
 
@@ -307,7 +309,7 @@ def cdepth(profile: DepthProfile, z, candidates) -> int:
     return int(best)
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
+def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bit-identical to ``np.linalg.norm(row)``.
 
     A stacked (1 x n) @ (n x 1) matmul runs the same dot kernel per row as
@@ -315,6 +317,116 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     and disagrees in the last bit.
     """
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+@functools.lru_cache(maxsize=64)
+def sphere_directions(r: int, samples: int) -> np.ndarray:
+    """The fixed sphere sample: ``samples`` seeded normal draws in R^r scaled to
+    unit length, zero draws dropped.  Built once per (r, samples), read-only."""
+    draws = np.random.default_rng(_SPHERE_SEED).standard_normal((samples, r))
+    norms = row_norms(draws)
+    positive = norms > 0
+    directions = draws[positive] / norms[positive, None]
+    directions.flags.writeable = False
+    return directions
+
+
+def _unit_lift(basis: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lift coefficient rows into the ambient space and scale each to unit length.
+
+    Returns the points and which of them are nonzero (zero rows stay zero).
+    The lift and the norms are stacked matrix-vector and vector-vector
+    products, which run the same kernels as ``basis @ c`` and
+    ``np.linalg.norm`` on one row (a single ``coeffs @ basis.T`` does not).
+    """
+    points = np.matmul(basis[None], coeffs[:, :, None])[:, :, 0]
+    norms = row_norms(points)
+    nonzero = norms != 0.0
+    points[nonzero] /= norms[nonzero, None]
+    return points, nonzero
+
+
+def _check_cap(n: int, r: int, sphere_samples: int, cap: int) -> int:
+    """Candidate slots per block; more than ``cap`` is a CapabilityError."""
+    n_boundary = 2 * math.comb(n, r - 1) if r > 1 else 2
+    if n_boundary + sphere_samples > cap:
+        raise CapabilityError(
+            f"{n_boundary} boundary candidates exceed the cap {cap}; reduce the "
+            "constraint count or dimension"
+        )
+    return n_boundary + (sphere_samples if r > 1 else 0)
+
+
+def _block_candidates(normals: np.ndarray, basis: np.ndarray,
+                      sphere: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's deduplicated candidates, one block after another.
+
+    ``normals`` is a (blocks, n, ambient) stack and ``sphere`` the lifted
+    unit sphere sample.  Returns the points and each block's count.
+    """
+    k, n, ambient = normals.shape
+    r = basis.shape[1]
+    if r == 1:
+        coeffs = np.tile([[1.0], [-1.0]], (k, 1))
+    else:
+        subsets = np.array(list(combinations(range(n), r - 1)), dtype=np.intp)
+        directions = np.zeros((k, len(subsets), r))
+        if len(subsets):
+            _, svals, vt = np.linalg.svd(np.matmul(normals, basis)[:, subsets])
+            # a rank-deficient subset's boundaries do not cut down to a line; its
+            # zero direction lifts to a zero point, which is dropped below
+            directions = np.where(svals[..., -1:] > 1e-10, vt[..., -1, :], 0.0)
+        coeffs = np.stack([directions, -directions], axis=2).reshape(-1, r)
+    boundary, nonzero = _unit_lift(basis, coeffs)
+    points = np.concatenate([
+        boundary.reshape(k, -1, ambient),
+        np.broadcast_to(sphere, (k, *sphere.shape)),
+    ], axis=1).reshape(-1, ambient)
+    keep = np.concatenate([
+        nonzero.reshape(k, -1),
+        np.ones((k, len(sphere)), dtype=bool),
+    ], axis=1).ravel()
+    blocks = np.repeat(np.arange(k), len(keep) // k)[keep]
+    points = points[keep]
+    # first occurrence of each (block, rounded point): a stable sort keeps equal
+    # keys in input order
+    rounded = np.round(points, DEDUP_DECIMALS)
+    order = np.lexsort((*rounded.T[::-1], blocks))
+    rounded, sorted_blocks = rounded[order], blocks[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (sorted_blocks[1:] != sorted_blocks[:-1]) | (rounded[1:] != rounded[:-1]).any(axis=1)
+    kept = np.sort(order[first])
+    return points[kept], np.bincount(blocks[kept], minlength=k)
+
+
+def _lifted_sphere(basis: np.ndarray, sphere_samples: int) -> np.ndarray:
+    """The sphere sample lifted into the ambient space, once for all blocks
+    (none when the subspace is a line)."""
+    if basis.shape[1] == 1:
+        return np.zeros((0, basis.shape[0]))
+    points, nonzero = _unit_lift(basis, sphere_directions(basis.shape[1], sphere_samples))
+    return points[nonzero]
+
+
+def _block_argmax(normals: np.ndarray, points: np.ndarray,
+                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's depth argmax over its candidates, as ``argmax_cdepth``."""
+    blocks = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    depths = np.empty(len(points), dtype=np.intp)
+    # DepthProfile.depths block by block, stacked over blocks with equal
+    # candidate counts: the product's bits depend on its width
+    for count in np.unique(counts):
+        same = np.flatnonzero(counts == count)
+        rows = starts[same, None] + np.arange(count)
+        product = np.matmul(normals[same], points[rows].transpose(0, 2, 1))
+        depths[rows] = (product >= -DEPTH_TOL).sum(axis=1)
+    # the lexsort only needs each block's deepest candidates
+    deepest = np.flatnonzero(depths == np.maximum.reduceat(depths, starts)[blocks])
+    order = np.lexsort((*np.round(points[deepest], 9).T[::-1], blocks[deepest]))
+    ties = np.bincount(blocks[deepest], minlength=len(counts))
+    best = deepest[order[np.cumsum(ties) - ties]]
+    return points[best], depths[best]
 
 
 def arrangement_candidates(
@@ -329,50 +441,20 @@ def arrangement_candidates(
     the subspace (r its dimension) plus a deterministic quasi-uniform sphere
     sample, deduplicated to 1e-8.
 
-    Computed in one batch: a stacked SVD over all (r-1)-subsets of the
-    projected normals gives each boundary direction as the pair +dir, -dir in
-    subset order (rank-deficient subsets are skipped), then the sphere draws
-    follow.  Rows come back in that order, and of points equal after rounding
-    to DEDUP_DECIMALS the first one is kept.  The lift into the ambient space
-    and the norms are stacked matrix-vector and vector-vector products, which
-    run the same kernels as ``basis @ c`` and ``np.linalg.norm`` on one
-    candidate, so the result is bit-identical to a per-candidate loop (a
-    single ``coeffs @ basis.T`` is not).  No candidates give shape (0,).
+    The one-block case of the kernel behind ``argmax_cdepth_blocks``: a
+    stacked SVD over all (r-1)-subsets of the projected normals gives each
+    boundary direction as the pair +dir, -dir in subset order (rank-deficient
+    subsets are skipped), then the sphere draws follow.  Rows come back in
+    that order, and of points equal after rounding to DEDUP_DECIMALS the first
+    one is kept.  No candidates give shape (0,).
     """
     r = subspace.dimension
     if r < 1:
         raise ConfigurationError("candidate generation needs a subspace of dimension >= 1")
-    n = len(profile)
-    n_boundary = 2 * math.comb(n, r - 1) if r > 1 else 2
-    if n_boundary + sphere_samples > cap:
-        raise CapabilityError(
-            f"{n_boundary} boundary candidates exceed the cap {cap}; reduce the "
-            "constraint count or dimension"
-        )
-    if r == 1:
-        coeffs = np.array([[1.0], [-1.0]])
-    else:
-        directions = np.zeros((0, r))
-        subsets = np.array(list(combinations(range(n), r - 1)), dtype=np.intp)
-        if len(subsets):
-            _, svals, vt = np.linalg.svd((profile.normals @ subspace.basis)[subsets])
-            # rank-deficient subsets: their boundaries do not cut down to a line
-            directions = vt[svals[:, -1] > 1e-10, -1]
-        draws = np.random.default_rng(_SPHERE_SEED).standard_normal((sphere_samples, r))
-        draw_norms = _row_norms(draws)
-        positive = draw_norms > 0
-        coeffs = np.concatenate([
-            np.stack([directions, -directions], axis=1).reshape(-1, r),
-            draws[positive] / draw_norms[positive, None],
-        ])
-    points = np.matmul(subspace.basis[None], coeffs[:, :, None])[:, :, 0]
-    norms = _row_norms(points)
-    nonzero = norms != 0.0
-    points = points[nonzero] / norms[nonzero, None]
-    if len(points) == 0:
-        return np.empty(0)
-    _, first = np.unique(np.round(points, DEDUP_DECIMALS), axis=0, return_index=True)
-    return points[np.sort(first)]
+    _check_cap(len(profile), r, sphere_samples, cap)
+    points, _ = _block_candidates(_one_block(profile, subspace), subspace.basis,
+                                  _lifted_sphere(subspace.basis, sphere_samples))
+    return points if len(points) else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -380,6 +462,42 @@ class CdepthArgmax:
     point: np.ndarray
     value: int
     degenerate: bool
+
+
+def argmax_cdepth_blocks(
+    normals: np.ndarray,
+    subspace: FeasibleSubspace,
+    sphere_samples: int = 64,
+    cap: int = 20000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Depth argmax of every block inside one shared subspace, in one pass.
+
+    ``normals`` is a (blocks, n, ambient) stack of constraint normals.
+    Returns each block's point (blocks x ambient) and its integer depth, each
+    equal to ``argmax_cdepth`` on that block alone.  The blocks go through
+    the kernel in chunks whose working arrays stay near KERNEL_BYTES; the
+    sphere sample is lifted once for all of them.
+    """
+    normals = np.asarray(normals, dtype=float)
+    k, n, ambient = normals.shape
+    r = subspace.dimension
+    if r == 0:
+        # the degenerate all-zero hypothesis satisfies every constraint weakly
+        return np.zeros((k, ambient)), np.full(k, n, dtype=np.intp)
+    slots = _check_cap(n, r, sphere_samples, cap)
+    sphere = _lifted_sphere(subspace.basis, sphere_samples)
+    step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + r * r + 4 * ambient)))
+    points = np.empty((k, ambient))
+    depths = np.empty(k, dtype=np.intp)
+    for lo in range(0, k, step):
+        chunk = normals[lo:lo + step]
+        candidates, counts = _block_candidates(chunk, subspace.basis, sphere)
+        if not counts.all():
+            raise ConfigurationError(
+                "no depth candidates: need sphere_samples > 0 or r-1 independent constraints"
+            )
+        points[lo:lo + step], depths[lo:lo + step] = _block_argmax(chunk, candidates, counts)
+    return points, depths
 
 
 def argmax_cdepth(
@@ -397,20 +515,17 @@ def argmax_cdepth(
     then to the earliest candidate; one stable ``np.lexsort`` decides both.
     A zero-dimensional subspace returns the degenerate all-zero hypothesis;
     an empty candidate set (no sphere samples and no r-1 independent
-    boundaries) is a ConfigurationError.
+    boundaries) is a ConfigurationError.  The one-block case of
+    ``argmax_cdepth_blocks``.
     """
-    if subspace.dimension == 0:
-        zero = np.zeros(subspace.ambient_dim)
-        return CdepthArgmax(point=zero, value=profile.depth(zero), degenerate=True)
-    candidates = arrangement_candidates(profile, subspace, sphere_samples, cap)
-    if len(candidates) == 0:
-        raise ConfigurationError(
-            "no depth candidates: need sphere_samples > 0 or r-1 independent constraints"
-        )
-    cand_depths = profile.depths(candidates)
-    rounded = np.round(candidates, 9)
-    best = np.lexsort((*rounded.T[::-1], -cand_depths))[0]
-    return CdepthArgmax(point=candidates[best], value=int(cand_depths[best]), degenerate=False)
+    points, depths = argmax_cdepth_blocks(_one_block(profile, subspace), subspace,
+                                          sphere_samples, cap)
+    return CdepthArgmax(point=points[0], value=int(depths[0]),
+                        degenerate=subspace.dimension == 0)
+
+
+def _one_block(profile: DepthProfile, subspace: FeasibleSubspace) -> np.ndarray:
+    return profile.normals.reshape(1, len(profile), subspace.ambient_dim)
 
 
 # ---------------------------------------------------------------------------

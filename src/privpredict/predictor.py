@@ -150,36 +150,31 @@ class _ObliviousGenerator:
 
 
 class _HalfspaceGenerator:
-    """Shared feasible subspace + per-block depth profiles; cdepth argmax per block."""
+    """Shared feasible subspace + per-block constraint stacks; all blocks refit to
+    their depth argmax in one batched kernel pass."""
 
     def __init__(self, d: int, blocks: list[LabeledSample], sphere_samples: int):
         self.d = d
         self.blocks = blocks
         self.sphere_samples = sphere_samples
         self.space = geometry.FeasibleSubspace.full(d + 1)
-        self.profiles = [
-            geometry.DepthProfile(
-                np.array([geometry.to_constraint(p, lab) for p, lab in blk.records()])
-            )
-            for blk in blocks
-        ]
+        self.normals = np.array(
+            [[geometry.to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
+        ).reshape(len(blocks), -1, d + 1)
+        if not np.all(np.isfinite(self.normals)):
+            raise ConfigurationError("constraint normals must be finite")
         self._weights: np.ndarray | None = None
         self._values: list[int] | None = None
         self.degenerate = False
 
     def refresh(self) -> list[int]:
-        rows = []
-        values = []
-        for profile in self.profiles:
-            result = geometry.argmax_cdepth(profile, self.space, self.sphere_samples)
-            point = result.point
-            norm = float(np.linalg.norm(point))
-            rows.append(point / norm if norm > 0 else point)
-            values.append(result.value)
-            if result.degenerate:
-                self.degenerate = True
-        self._weights = np.vstack(rows)
-        self._values = values
+        points, depths = geometry.argmax_cdepth_blocks(self.normals, self.space,
+                                                       self.sphere_samples)
+        norms = geometry.row_norms(points)[:, None]
+        self._weights = np.divide(points, norms, out=points, where=norms > 0)
+        self._values = depths.tolist()
+        if self.space.dimension == 0:
+            self.degenerate = True
         return []
 
     def invalidate(self) -> None:

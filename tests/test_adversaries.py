@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adversary_oracle import BoundaryProbeOracle
 from privpredict.adversaries import (
     BisectionAdversary,
     BoundaryProbeAdversary,
@@ -92,6 +95,57 @@ def test_boundary_probe_distance_tau():
     w = adv._w
     dist = abs(float(w[:-1] @ q) - w[-1]) / np.linalg.norm(w[:-1])
     assert dist == pytest.approx(0.25, abs=1e-9)
+
+
+def _bits(point) -> bytes:
+    assert type(point) is tuple and all(type(c) is float for c in point)
+    return np.array(point).tobytes()
+
+
+def _probe_both(fast, slow, history, fast_noise, slow_noise):
+    """One query from each adversary: same bits, same next draw of the stream."""
+    x = fast.next_query(history, fast_noise)
+    assert _bits(x) == _bits(slow.next_query(history, slow_noise))
+    assert fast_noise.rng.random() == slow_noise.rng.random()
+    return x
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    low=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, -3.25, 7.0]), min_size=4, max_size=4),
+    width=st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 10.0]), min_size=4, max_size=4),
+    tau=st.sampled_from([0.0, 0.11, 0.5, 25.0]),
+    rounds=st.integers(1, 40),
+    labels=st.sampled_from(["random", "positive", "negative"]),
+    mismatch=st.integers(0, 39),
+)
+@settings(max_examples=150, deadline=None)
+def test_boundary_probe_matches_scalar_oracle(seed, d, low, width, tau, rounds, labels, mismatch):
+    low, high = tuple(low[:d]), tuple(lo + w for lo, w in zip(low, width[:d]))
+    fast, slow = BoundaryProbeAdversary(low, high, tau), BoundaryProbeOracle(low, high, tau)
+    fast_noise, slow_noise = NoiseSource(seed).child(1), NoiseSource(seed).child(1)
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(rounds):  # all-positive labels keep the weights at zero throughout
+        x = _probe_both(fast, slow, history, fast_noise, slow_noise)
+        label = {"positive": 1, "negative": -1}.get(labels, int(rng.choice([-1, 1])))
+        history.append((x, label))
+    # a history that differs from the consumed one before its end forces a replay
+    j = mismatch % rounds
+    replayed = history[:j] + [(history[j][0], -history[j][1])] + history[j + 1:]
+    for h in (replayed, replayed[: j + 1], history, []):
+        _probe_both(fast, slow, h, fast_noise, slow_noise)
+
+
+def test_boundary_probe_clips_to_the_box():
+    adv = BoundaryProbeAdversary((0.0, -1.0), (1.0, 0.0), tau=25.0)
+    pairs = [((0.5, -0.5), -1), ((0.25, -0.75), 1)]
+    ns = NoiseSource(4)
+    for j in range(3):
+        x = adv.next_query(pairs[:j], ns)
+        assert 0.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 0.0
+    assert 0.0 in x or 1.0 in x or -1.0 in x  # tau far exceeds the box: the probe was clipped
 
 
 def test_load_query_csv(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adversary_oracle
 import depth_oracle as oracle
 from privpredict import geometry, harness, predictor
 from privpredict.concepts import (
@@ -112,6 +113,135 @@ def test_empty_candidate_set_is_pinned():
         geometry.argmax_cdepth(profile, space, 0)
 
 
+def test_sphere_sample_is_built_once_and_read_only():
+    for r, samples in ((2, 64), (3, 64), (4, 16), (3, 0)):
+        draws = np.random.default_rng(geometry._SPHERE_SEED).standard_normal((samples, r))
+        fresh = [row / np.linalg.norm(row) for row in draws if np.linalg.norm(row) > 0]
+        fresh = np.array(fresh).reshape(-1, r)
+        cached = geometry.sphere_directions(r, samples)
+        assert _same_bits(cached, fresh)
+        assert geometry.sphere_directions(r, samples) is cached
+        with pytest.raises(ValueError):
+            cached[:1] = 0.0
+
+
+# --- the multi-block kernel: every block as the scalar oracle sees it alone ---
+
+
+def _block_stack(seed: int, k: int, ambient: int, r: int, n: int, copies: int, integral: bool):
+    """k blocks of n normals in one r-dimensional subspace; each block draws its
+    own duplicated, parallel or integral rows, so candidate counts differ."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for b in range(k):
+        profile, _ = _instance(seed + 1 + b, ambient, r, n, int(rng.integers(0, copies + 1)),
+                               integral and bool(rng.integers(0, 2)))
+        blocks.append(profile.normals.reshape(n, ambient))
+    space = FeasibleSubspace.full(ambient)
+    while space.dimension > r:
+        space, _ = space.intersect(rng.standard_normal(ambient))
+    return np.array(blocks).reshape(k, n, ambient), space
+
+
+def _oracle_blocks(normals, space, sphere, cap=20000):
+    """The scalar oracle on each block alone, or the error the batch must raise."""
+    results = []
+    for block in normals:
+        profile = DepthProfile(block if len(block) else np.zeros((0, space.ambient_dim)))
+        if space.dimension > 0:
+            candidates = _outcome(oracle.arrangement_candidates, profile, space, sphere, cap)
+            if isinstance(candidates, type):
+                return candidates
+            if len(candidates) == 0:
+                return ConfigurationError
+        results.append(oracle.argmax_cdepth(profile, space, sphere, cap))
+    return results
+
+
+def _assert_blocks_match(normals, space, sphere, cap=20000):
+    expected = _oracle_blocks(normals, space, sphere, cap)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            geometry.argmax_cdepth_blocks(normals, space, sphere, cap)
+        return
+    points, depths = geometry.argmax_cdepth_blocks(normals, space, sphere, cap)
+    assert points.shape == (len(normals), space.ambient_dim) and depths.shape == (len(normals),)
+    for b, want in enumerate(expected):
+        assert _same_bits(points[b], want.point)
+        assert isinstance(depths[b], np.integer) and int(depths[b]) == want.value
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    ambient=st.integers(2, 5),
+    codim=st.integers(0, 5),
+    n=st.integers(0, 24),
+    copies=st.integers(0, 6),
+    integral=st.booleans(),
+    sphere=st.sampled_from([0, 8, 64]),
+    budget=st.sampled_from([None, 1, 50_000]),
+)
+@settings(max_examples=150, deadline=None)
+def test_multi_block_kernel_matches_oracle_block_by_block(seed, k, ambient, codim, n, copies,
+                                                          integral, sphere, budget):
+    r = max(0, ambient - codim)
+    if r > 3:
+        n = min(n, 14)  # keeps the oracle's C(n, r-1) SVDs few; the cap has its own test
+    normals, space = _block_stack(seed, k, ambient, r, n, copies, integral)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:  # 1 byte: one block per chunk; 50 kB: a few blocks per chunk
+            patch.setattr(geometry, "KERNEL_BYTES", budget)
+        _assert_blocks_match(normals, space, sphere)
+
+
+def test_multi_block_kernel_groups_unequal_candidate_counts(monkeypatch):
+    normals = np.array([
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, -1.0]],
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],  # parallel rows
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],  # duplicates
+        [[0.3, -0.2, 0.9], [0.1, 0.5, -0.4], [-0.7, 0.2, 0.2], [0.6, 0.6, 0.1]],
+    ])
+    space = FeasibleSubspace.full(3)
+    _, counts = geometry._block_candidates(normals, space.basis, geometry._lifted_sphere(space.basis, 8))
+    assert len(set(counts.tolist())) == 3  # three count groups, one of them of two blocks
+    _assert_blocks_match(normals, space, 8)
+    monkeypatch.setattr(geometry, "KERNEL_BYTES", 1)  # one block per chunk
+    _assert_blocks_match(normals, space, 8)
+    for r in (2, 1, 0):
+        space, _ = space.intersect(np.array([0.2, -0.5, 1.0]) if r == 2 else space.basis[:, 0])
+        assert space.dimension == r
+        _assert_blocks_match(normals, space, 8)
+
+
+def test_tie_break_compares_points_rounded_to_9_decimals():
+    # integral normals whose max-depth candidates differ first in a coordinate
+    # that is 0 up to SVD residue (about 1e-16): rounding makes it a tie
+    block = np.array([[0.0, -0.0, -0.0, 1.0], [1.0, 0.0, 0.0, -2.0], [1.0, -1.0, 2.0, 3.0],
+                      [-3.0, 3.0, -1.0, -2.0], [-0.0, 1.0, 2.0, 6.0], [-3.0, -1.0, 1.0, -1.0]])
+    space = FeasibleSubspace.full(4)
+    candidates = geometry.arrangement_candidates(DepthProfile(block), space, 0)
+    depths = DepthProfile(block).depths(candidates)
+    unrounded = candidates[np.lexsort((*candidates.T[::-1], -depths))[0]]
+    assert not _same_bits(oracle.argmax_cdepth(DepthProfile(block), space, 0).point, unrounded)
+    _assert_blocks_match(np.array([block, block[::-1], block[[1, 0, 3, 2, 5, 4]]]), space, 0)
+
+
+def test_multi_block_kernel_errors_and_degenerate_case():
+    space = FeasibleSubspace.full(4)
+    normals = np.random.default_rng(0).standard_normal((3, 80, 4))
+    with pytest.raises(CapabilityError, match=f"^{2 * math.comb(80, 3)} boundary candidates"):
+        geometry.argmax_cdepth_blocks(normals, space, 64, 2000)
+    # a second block with a single boundary has no candidates without sphere draws
+    lonely = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]])
+    with pytest.raises(ConfigurationError, match="no depth candidates"):
+        geometry.argmax_cdepth_blocks(lonely, FeasibleSubspace.full(3), 0)
+    zero = FeasibleSubspace(np.zeros((3, 0)))
+    points, depths = geometry.argmax_cdepth_blocks(lonely, zero, 0)
+    assert _same_bits(points, np.zeros((2, 3))) and depths.tolist() == [2, 2]
+    assert geometry.argmax_cdepth(DepthProfile(lonely[0]), zero, 0).degenerate
+
+
 def test_cap_error_comes_first_and_is_unchanged():
     profile = DepthProfile(np.random.default_rng(0).standard_normal((80, 4)))
     space = FeasibleSubspace.full(4)
@@ -165,8 +295,18 @@ def _assert_block_error_matches_scalar(seen):
 def test_halfspace_trials_byte_identical_to_scalar_kernel(monkeypatch):
     cfg = _halfspace_config()
     batched, seen = _runs_with_samples(cfg, (0, 1), monkeypatch)
-    monkeypatch.setattr(geometry, "argmax_cdepth", oracle.argmax_cdepth)
+    refits = []
+
+    def per_block_oracle(normals, subspace, sphere_samples=64, cap=20000):
+        results = [oracle.argmax_cdepth(DepthProfile(block), subspace, sphere_samples, cap)
+                   for block in normals]
+        refits.append(len(results))
+        return np.array([r.point for r in results]), np.array([r.value for r in results])
+
+    monkeypatch.setattr(geometry, "argmax_cdepth_blocks", per_block_oracle)
+    monkeypatch.setattr(harness, "BoundaryProbeAdversary", adversary_oracle.BoundaryProbeOracle)
     scalar = [_canonical(*run_trial(cfg, i)) for i in (0, 1)]
+    assert refits and set(refits) == {40}  # every refresh refit all k = 600 // 15 blocks
     assert batched == scalar
     _assert_block_error_matches_scalar(seen)
 

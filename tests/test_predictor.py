@@ -240,6 +240,12 @@ def test_halfspace_generator_base_case_and_hyperplane():
         assert h.evaluate((0.123, 0.456)) == 1
 
 
+def test_halfspace_generator_rejects_non_finite_points():
+    blocks = [LabeledSample(((0.1, 0.2), (float("inf"), 0.0)), (1, -1))]
+    with pytest.raises(ConfigurationError, match="finite"):
+        _HalfspaceGenerator(2, blocks, sphere_samples=8)
+
+
 def test_halfspace_cdepth_progression():
     # after c hard queries every block's reported value stays above the
     # transfer-weakened floor 1 - 2*c*alpha*(d+1): witnessing cdepth on the
