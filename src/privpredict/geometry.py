@@ -1,6 +1,7 @@
 """Linear-feasibility geometry for halfspace prediction: homogeneous constraints,
 depth and convexified depth over explicit candidate sets, hyperplane-intersection
-subspaces, and a small dense Phase-I feasibility solver.
+subspaces, and convex-hull membership (non-negative least squares, with an
+exact rational Phase-I LP as the certifier).
 
 Everything is homogeneous: a labeled point (x, y) becomes the through-origin
 constraint <y*(x_1..x_d, -1), z> >= 0 on the parameter vector z, so feasible
@@ -11,13 +12,13 @@ a hyperplane is a rank-one basis update.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .core import (
     CapabilityError,
@@ -27,11 +28,13 @@ from .core import (
     UsageError,
 )
 
-log = logging.getLogger(__name__)
-
 DEPTH_TOL = 1e-12      # inner products down to -DEPTH_TOL still count as satisfied
-FEAS_TOL = 1e-9        # Phase-I objective below this certifies feasibility
-INDETERMINATE_TOL = 1e-6   # objectives in (FEAS_TOL, this) trigger the exact re-solve
+# An NNLS residual (an L2 norm, never more than the distance from z to the hull)
+# at or below this certifies membership without the exact solve.  It must sit
+# well under the distances the exact band settles: at 1e-9, points ~1e-10
+# outside the hull pass as members.
+FEAS_TOL = 1e-12
+INDETERMINATE_TOL = 1e-6   # residuals in (FEAS_TOL, this) trigger the exact re-solve
 REDUNDANCY_TOL = 1e-9  # projections below this leave a subspace unchanged
 DEDUP_DECIMALS = 8
 KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
@@ -142,45 +145,8 @@ class FeasibleSubspace:
 
 
 # ---------------------------------------------------------------------------
-# Phase-I feasibility (dense, Bland's rule, exact rational fallback)
+# Hull membership (non-negative least squares, exact rational certifier)
 # ---------------------------------------------------------------------------
-
-
-def _phase_one_float(a_mat: np.ndarray, b_vec: np.ndarray, max_iter: int):
-    m, n = a_mat.shape
-    a_mat = a_mat.copy()
-    b_vec = b_vec.copy()
-    flip = b_vec < 0
-    a_mat[flip] *= -1.0
-    b_vec[flip] *= -1.0
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_mat
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_vec
-    tableau[m, :] = -tableau[:m, :].sum(axis=0)
-    tableau[m, n : n + m] = 0.0
-    basis = list(range(n, n + m))
-    for _ in range(max_iter):
-        negative = tableau[m, : n + m] < -FEAS_TOL
-        if not negative.any():
-            return -float(tableau[m, -1])
-        entering = int(np.argmax(negative))  # first negative reduced cost (Bland)
-        col = tableau[:m, entering]
-        ok = col > FEAS_TOL
-        if not np.any(ok):
-            return None
-        ratios = np.full(m, np.inf)
-        ratios[ok] = tableau[:m, -1][ok] / col[ok]
-        best = float(np.min(ratios))
-        ties = [i for i in range(m) if ratios[i] <= best + 1e-12]
-        leaving = min(ties, key=lambda i: basis[i])
-        pivot_row = tableau[leaving, :] / tableau[leaving, entering]
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        tableau -= np.outer(factors, pivot_row)
-        tableau[leaving, :] = pivot_row
-        basis[leaving] = entering
-    return None
 
 
 def _phase_one_exact(a_rows, b_vec, max_iter: int):
@@ -236,13 +202,16 @@ def _phase_one_exact(a_rows, b_vec, max_iter: int):
     return None
 
 
-def hull_membership(points, z, exact: bool | None = None) -> bool:
+def hull_membership(points, z) -> bool:
     """Whether z is a convex combination of the points.
 
-    Decided by Phase-I feasibility of {lam >= 0, sum lam = 1, sum lam_i p_i = z}
-    with Bland's rule.  Objectives inside the indeterminate band are re-solved
-    in exact rational arithmetic; a capped exact solve is logged and treated as
-    non-membership.
+    Decided by the residual of the non-negative least-squares fit
+    min ||[P^T; 1^T] lam - [z; 1]|| over lam >= 0 (Lawson-Hanson, scipy's
+    ``nnls``), which is zero exactly when z lies in the hull.  A residual at
+    most FEAS_TOL is a member, one at least INDETERMINATE_TOL a non-member.
+    In between, or when ``nnls`` stops at its iteration limit, the Phase-I LP
+    in exact rational arithmetic decides; if that hits its pivot cap, the
+    call raises CapabilityError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     z = np.asarray(z, dtype=float)
@@ -257,21 +226,18 @@ def hull_membership(points, z, exact: bool | None = None) -> bool:
         return True
     a_mat = np.vstack([pts.T, np.ones((1, n_pts))])
     b_vec = np.concatenate([z, [1.0]])
-    max_iter = 50 * (n_pts + dim + 2)
-    if exact is not True:
-        value = _phase_one_float(a_mat, b_vec, max_iter)
-        if value is not None:
-            if value <= FEAS_TOL:
-                return True
-            if value >= INDETERMINATE_TOL:
-                return False
-        if exact is False:
-            log.warning("hull membership indeterminate at float precision; treating as non-member")
-            return False
-    value = _phase_one_exact(a_mat.tolist(), b_vec.tolist(), 4 * max_iter)
-    if value is None:
-        log.warning("exact hull membership hit the iteration cap; treating as non-member")
+    try:
+        residual = nnls(a_mat, b_vec)[1]
+    except RuntimeError:  # iteration limit; NaN fails both tests below
+        residual = math.nan
+    if residual <= FEAS_TOL:
+        return True
+    if residual >= INDETERMINATE_TOL:
         return False
+    cap = 200 * (n_pts + dim + 2)
+    value = _phase_one_exact(a_mat.tolist(), b_vec.tolist(), cap)
+    if value is None:
+        raise CapabilityError(f"exact hull membership hit its pivot cap of {cap}")
     return value == 0
 
 

@@ -27,6 +27,7 @@ from .concepts import (
     HalfspaceHypothesis,
     ThresholdClass,
     ThresholdHypothesis,
+    evaluate_many,
     load_enumerated_class,
 )
 from .core import (
@@ -212,18 +213,12 @@ def hypotheses_from_payload(payload: dict, concept=None) -> list:
 
 def majority_vote_error(hypotheses, sample: LabeledSample) -> float:
     """Heldout error of the sign of the ensemble's mean vote (ties count as +1)."""
-    votes = np.zeros(len(sample))
     if all(isinstance(h, ThresholdHypothesis) for h in hypotheses):
         ts = np.sort([h.threshold for h in hypotheses])
         xs = np.array([p[0] for p in sample.points])
         votes = 2.0 * np.searchsorted(ts, xs, side="right") - len(hypotheses)
-    elif all(isinstance(h, HalfspaceHypothesis) for h in hypotheses):
-        w = np.array([h.weights for h in hypotheses])
-        lifted = np.hstack([np.array(sample.points), -np.ones((len(sample), 1))])
-        votes = (2.0 * (w @ lifted.T >= 0.0) - 1.0).sum(axis=0)
     else:
-        for i, p in enumerate(sample.points):
-            votes[i] = sum(h.evaluate(p) for h in hypotheses)
+        votes = evaluate_many(hypotheses, sample.points).sum(axis=0)
     predicted = np.where(votes >= 0, 1, -1)
     return float(np.mean(predicted != np.array(sample.labels)))
 

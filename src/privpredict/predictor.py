@@ -100,6 +100,7 @@ class _ObliviousGenerator:
         )
         self._hypotheses: list[Hypothesis] | None = None
         self._sorted_thresholds: list[int] | None = None
+        self.degenerate = False
 
     def _erm(self) -> list[Hypothesis]:
         if self._threshold_blocks is None:
@@ -363,7 +364,7 @@ def run(
         for idx in dropped:
             report.fallback_flags.append({"round": spec.t_rounds + 1, "dropped_constraint": idx})
         note_progress()
-    report.degenerate = bool(getattr(generator, "degenerate", False))
+    report.degenerate = generator.degenerate
     report.eps_total, report.delta_total = compose_advanced(ledger, spec.delta_prime)
     hypotheses = generator.hypotheses
     report.final_hypotheses = [_serialize_hypothesis(h) for h in hypotheses]

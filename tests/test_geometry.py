@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hull_oracle
+from privpredict import geometry
 from privpredict.core import CapabilityError, ConfigurationError, NoiseSource, UsageError
 from privpredict.geometry import (
     DepthProfile,
@@ -120,6 +122,74 @@ def test_hull_membership_agrees_with_exact_oracle():
         else:
             z = np.round(rng.uniform(-1.2, 1.2, size=dim), 3)
         assert hull_membership(pts, z) == exact_hull_membership(pts, z)
+
+
+@st.composite
+def dyadic_hull_cases(draw):
+    """Integer points in [-4, 4]^dim and a query whose coordinates are exact in
+    binary: an eighths-weighted combination, a midpoint, a vertex, or a
+    half-integer point (inside, on the boundary or outside)."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    coords = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
+    index = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["combination", "midpoint", "vertex", "half-integer"]))
+    if kind == "combination":
+        z = pts[draw(st.lists(index, min_size=8, max_size=8))].sum(axis=0) / 8
+    elif kind == "midpoint":
+        z = (pts[draw(index)] + pts[draw(index)]) / 2
+    elif kind == "vertex":
+        z = pts[draw(index)]
+    else:
+        z = np.array(draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))) / 2
+    return pts, z
+
+
+@given(dyadic_hull_cases())
+@settings(max_examples=150, deadline=None)
+def test_hull_membership_matches_exact_and_float_oracles_on_dyadic_points(case):
+    pts, z = case
+    expected = exact_hull_membership(pts, z)
+    assert hull_membership(pts, z) == expected
+    assert hull_oracle.hull_membership(pts, z) == expected
+
+
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_PUSHED_VERTEX = np.array([1.0 + 1e-8, 0.0])  # the vertex (1, 0) moved 1e-8 outward
+
+
+@pytest.mark.parametrize("push", [1e-8, 1e-10])
+def test_hull_membership_pushed_vertex_goes_to_the_exact_solver(monkeypatch, push):
+    # a push of 1e-10 leaves an NNLS residual below 1e-9, so a looser FEAS_TOL
+    # would call the point a member
+    calls = []
+    exact = geometry._phase_one_exact
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, "_phase_one_exact", spy)
+    assert not hull_membership(_TRIANGLE, np.array([1.0 + push, 0.0]))
+    assert len(calls) == 1
+
+
+def test_hull_membership_exact_solver_decides_when_nnls_stops(monkeypatch):
+    def stopped(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(geometry, "nnls", stopped)
+    assert hull_membership(_TRIANGLE, np.array([0.25, 0.25]))
+    assert hull_membership(_TRIANGLE, np.array([0.5, 0.5]))
+    assert not hull_membership(_TRIANGLE, np.array([1.0, 1.0]))
+    assert not hull_membership(_TRIANGLE, _PUSHED_VERTEX)
+
+
+def test_hull_membership_capped_exact_solve_raises(monkeypatch):
+    monkeypatch.setattr(geometry, "_phase_one_exact", lambda *args: None)
+    with pytest.raises(CapabilityError, match="pivot cap of 1400"):
+        hull_membership(_TRIANGLE, _PUSHED_VERTEX)
 
 
 def test_cdepth_one_dimensional_oracle():

@@ -2,12 +2,19 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from privpredict import harness, predictor
 from privpredict.cli import main
-from privpredict.concepts import ThresholdHypothesis
-from privpredict.core import ConfigurationError, GridDistribution, NoiseSource, draw_sample
+from privpredict.concepts import HalfspaceHypothesis, ThresholdHypothesis
+from privpredict.core import (
+    ConfigurationError,
+    GridDistribution,
+    LabeledSample,
+    NoiseSource,
+    draw_sample,
+)
 from privpredict.harness import (
     CSV_COLUMNS,
     AuditToy,
@@ -164,6 +171,21 @@ def test_majority_vote_error_matches_direct_count():
         votes = sum(h.evaluate(p) for h in hyps)
         direct += (1 if votes >= 0 else -1) != lab
     assert fast == direct / len(fresh)
+
+
+def test_majority_vote_error_matches_direct_count_on_halfspace_boundaries():
+    # points placed on the hypothesis' boundary, where the sign of <a, x> - w
+    # rests on the last bit of the product
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        hyp = HalfspaceHypothesis.from_vector(rng.standard_normal(3))
+        a, w = np.array(hyp.weights[:-1]), hyp.weights[-1]
+        q = rng.uniform(-1, 1, size=(100, 2))
+        points = q - np.outer(q @ a - w, a) / (a @ a)
+        labels = rng.choice([-1, 1], size=100)
+        fresh = LabeledSample(tuple(map(tuple, points.tolist())), tuple(labels.tolist()))
+        direct = sum(hyp.evaluate(p) != lab for p, lab in fresh.records())
+        assert majority_vote_error([hyp], fresh) == direct / len(fresh)
 
 
 def test_cli_run_and_gates(tmp_path, capsys):
