@@ -27,7 +27,6 @@ from .concepts import (
     ThresholdHypothesis,
     VersionSpace,
     load_enumerated_class,
-    vc_dimension,
 )
 from .dp import (
     BTOutcome,
@@ -51,7 +50,7 @@ from .geometry import (
     hull_membership,
     to_constraint,
 )
-from .predictor import RunReport, RunSpec, default_v_max, run, vote_fraction
+from .predictor import RunReport, RunSpec, default_v_max, run
 from .planner import PlanResult, plan_budgeted, plan_halfspace, plan_oblivious
 from .harness import AuditToy, ExperimentConfig, run_audit, run_experiment
 

@@ -175,11 +175,6 @@ class BoundaryProbeAdversary(_IncrementalHistory):
         return None
 
 
-Adversary = (
-    ObliviousAdversary | OfflineAdversary | StochasticAdversary | BisectionAdversary | BoundaryProbeAdversary
-)
-
-
 def load_query_csv(path) -> list[Point]:
     """Fixed query list from CSV, one point per row."""
     points: list[Point] = []

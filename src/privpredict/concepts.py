@@ -3,8 +3,7 @@ constraints, and label-pattern counting over fixed query tuples.
 
 Three families are supported: integer-grid thresholds, finite enumerated
 classes, and halfspaces.  Version spaces are kept intensionally as constraint
-lists with class-specific membership tests; only enumerated classes
-materialize their hypothesis set.
+lists; only enumerated classes materialize their hypothesis set.
 """
 
 from __future__ import annotations
@@ -187,14 +186,6 @@ class ThresholdClass:
             cached = self._query_cuts_of = (queries, [int(f) + 1 for f in floors])
         return cached[1]
 
-    def is_empty(self, constraints: tuple[Constraint, ...]) -> bool:
-        lo, hi = self._interval(constraints)
-        return lo > hi
-
-    def contains(self, h: ThresholdHypothesis, constraints: tuple[Constraint, ...]) -> bool:
-        lo, hi = self._interval(constraints)
-        return lo <= h.threshold <= hi
-
     def erm_blocks(self, constraints: tuple[Constraint, ...], blocks: ThresholdBlocks) -> list[int]:
         """ERM threshold of every block at once.
 
@@ -270,12 +261,6 @@ class EnumeratedClass:
             mask &= self.patterns[:, self._col(p)] == lab
         return np.flatnonzero(mask)
 
-    def is_empty(self, constraints: tuple[Constraint, ...]) -> bool:
-        return len(self._surviving(constraints)) == 0
-
-    def contains(self, h: EnumeratedHypothesis, constraints: tuple[Constraint, ...]) -> bool:
-        return all(h.evaluate(p) == lab for p, lab in constraints)
-
     def hypothesis(self, index: int) -> EnumeratedHypothesis:
         return EnumeratedHypothesis(index, self.points, tuple(int(v) for v in self.patterns[index]))
 
@@ -323,7 +308,11 @@ class EnumeratedClass:
 
 
 class HalfspaceClass:
-    """Halfspaces over R^d, parameterized by weight vectors in R^{d+1}."""
+    """Halfspaces over R^d, parameterized by weight vectors in R^{d+1}.
+
+    There is no ERM here: the halfspace generator fits its block hypotheses
+    with ``geometry.argmax_cdepth_blocks``.
+    """
 
     def __init__(self, d: int):
         if d < 1:
@@ -333,60 +322,6 @@ class HalfspaceClass:
     def vc_dimension(self) -> int:
         # Analytic value for d-dimensional halfspaces with bias; no search.
         return self.d + 1
-
-    def contains(self, h: HalfspaceHypothesis, constraints: tuple[Constraint, ...]) -> bool:
-        return all(h.evaluate(p) == lab for p, lab in constraints)
-
-    def is_empty(self, constraints: tuple[Constraint, ...]) -> bool:
-        if not constraints:
-            return False
-        try:
-            self.erm(constraints, LabeledSample((constraints[0][0],), (constraints[0][1],)))
-            return False
-        except EmptyVersionSpaceError:
-            return True
-
-    def erm(self, constraints: tuple[Constraint, ...], sample: LabeledSample) -> HalfspaceHypothesis:
-        """Desk-scale ERM over the consistent subclass via arrangement candidates.
-
-        Candidates come from the boundary arrangement of all involved
-        constraints plus a deterministic sphere sample, each also nudged off its
-        tight boundaries into the cell it mostly satisfies (arrangement vertices
-        sit exactly where the sign convention flips).  Exactness is up to
-        candidate resolution, which the suite cross-checks against grid oracles
-        at this scale.
-        """
-        from . import geometry
-
-        normals = [geometry.to_constraint(p, lab) for p, lab in sample.records()]
-        must = [geometry.to_constraint(p, lab) for p, lab in constraints]
-        profile = geometry.DepthProfile(np.asarray(normals + must, dtype=float))
-        space = geometry.FeasibleSubspace.full(self.d + 1)
-        raw = geometry.arrangement_candidates(profile, space)
-        nudged = []
-        for cand in raw:
-            strict = profile.normals[profile.normals @ cand > 1e-9]
-            if len(strict):
-                pull = strict.sum(axis=0)
-                norm = float(np.linalg.norm(pull))
-                if norm > 0:
-                    nudged.append(cand + 1e-6 * pull / norm)
-        candidates = list(raw) + nudged
-        lifted = np.hstack([np.array(sample.points), -np.ones((len(sample), 1))])
-        labels = np.asarray(sample.labels)
-        best = None
-        for cand in candidates:
-            h = HalfspaceHypothesis.from_vector(cand)
-            if not all(h.evaluate(p) == lab for p, lab in constraints):
-                continue
-            predictions = np.where(lifted @ np.asarray(h.weights) >= 0.0, 1, -1)
-            wrong = int(np.count_nonzero(predictions != labels))
-            key = (wrong, tuple(round(float(c), 9) for c in h.weights))
-            if best is None or key < best[0]:
-                best = (key, h)
-        if best is None:
-            raise EmptyVersionSpaceError("no candidate hypothesis satisfies the constraints")
-        return best[1]
 
     def pattern_count(self, constraints, queries) -> int:
         raise CapabilityError(
@@ -412,12 +347,6 @@ class VersionSpace:
     def drop_newest(self) -> "VersionSpace":
         return VersionSpace(self.concept_class, self.constraints[:-1])
 
-    def is_empty(self) -> bool:
-        return self.concept_class.is_empty(self.constraints)
-
-    def contains(self, h: Hypothesis) -> bool:
-        return self.concept_class.contains(h, self.constraints)
-
     def erm(self, sample: LabeledSample) -> Hypothesis:
         return self.concept_class.erm(self.constraints, sample)
 
@@ -426,10 +355,6 @@ class VersionSpace:
 
     def pattern_set(self, queries) -> set[tuple[int, ...]]:
         return self.concept_class.pattern_set(self.constraints, tuple(queries))
-
-
-def vc_dimension(concept_class: ConceptClass) -> int:
-    return concept_class.vc_dimension()
 
 
 def load_enumerated_class(path) -> EnumeratedClass:

@@ -102,16 +102,6 @@ class FeasibleSubspace:
     def dimension(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self.dimension == 0:
-            return np.zeros_like(z)
-        return self.basis @ (self.basis.T @ z)
-
-    def contains(self, z, tol: float = 1e-8) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.linalg.norm(z - self.project(z)) <= tol)
-
     def intersect(self, normal) -> tuple["FeasibleSubspace", bool]:
         """Intersect with the hyperplane {z : <normal, z> = 0}.
 

@@ -183,7 +183,12 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
     if cfg.v_max:
         v_max = cfg.v_max
     else:
-        vc = cfg.d + 1 if generator == "halfspace" else 1
+        if generator == "halfspace":
+            vc = cfg.d + 1
+        elif cfg.concept_file:
+            vc = load_enumerated_class(cfg.concept_file).vc_dimension()
+        else:
+            vc = 1
         v_max = default_v_max(generator, vc, cfg.t_rounds, cfg.beta)
     return RunSpec(
         generator=generator,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -39,14 +39,6 @@ from .core import (
     partition,
 )
 from .dp import BTOutcome, BTParams, PrivacyLedger, bt_init, bt_query, compose_advanced
-
-
-def vote_fraction(hypotheses, x: Point) -> float:
-    """Exact fraction of +1 votes among the hypotheses at x."""
-    if not hypotheses:
-        raise ConfigurationError("vote fraction needs at least one hypothesis")
-    positive = sum(1 for h in hypotheses if h.evaluate(x) > 0)
-    return positive / len(hypotheses)
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ class _ObliviousGenerator:
     def vote(self, x: Point) -> float:
         if self._sorted_thresholds is not None:
             return bisect.bisect_right(self._sorted_thresholds, x[0]) / len(self.blocks)
-        return vote_fraction(self.hypotheses, x)
+        return int(np.count_nonzero(evaluate_many(self.hypotheses, [x]) > 0)) / len(self.blocks)
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         before = self.space.pattern_count(full_queries) if full_queries else None
@@ -252,24 +244,7 @@ class RunReport:
 
     def to_payload(self) -> dict[str, Any]:
         """The report as a JSON-ready dict; it shares its lists with the report."""
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "rounds": self.rounds,
-            "top_rounds": self.top_rounds,
-            "fallback_flags": self.fallback_flags,
-            "cdepth_progress": self.cdepth_progress,
-            "top_count": self.top_count,
-            "aborted": self.aborted,
-            "degenerate": self.degenerate,
-            "eps_total": self.eps_total,
-            "delta_total": self.delta_total,
-            "bt_eps": self.bt_eps,
-            "bt_delta": self.bt_delta,
-            "final_hypotheses": self.final_hypotheses,
-            "max_block_error": self.max_block_error,
-            "wrong_predictions": self.wrong_predictions,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))

@@ -14,7 +14,6 @@ from privpredict.concepts import (
     ThresholdHypothesis,
     VersionSpace,
     load_enumerated_class,
-    vc_dimension,
 )
 from privpredict.core import (
     CapabilityError,
@@ -52,7 +51,10 @@ def test_restrict_thresholds_interval():
     remaining = [h.threshold for h in tc.hypotheses(vs.constraints)]
     assert remaining == [1, 2, 3, 4, 5]
     contradiction = vs.restrict((5.0,), -1)
-    assert contradiction.is_empty()
+    assert tc.hypotheses(contradiction.constraints) == []
+    assert contradiction.pattern_count([(3.0,)]) == 0
+    with pytest.raises(EmptyVersionSpaceError):
+        contradiction.erm(grid_sample([(3, 1)]))
 
 
 def test_restrict_enumerated_brute_force():
@@ -155,9 +157,9 @@ def _oracle_vc(patterns: np.ndarray) -> int:
 
 
 def test_vc_dimension_examples():
-    assert vc_dimension(ThresholdClass(100)) == 1
-    assert vc_dimension(full_shatter_class(3)) == 3
-    assert vc_dimension(HalfspaceClass(2)) == 3
+    assert ThresholdClass(100).vc_dimension() == 1
+    assert full_shatter_class(3).vc_dimension() == 3
+    assert HalfspaceClass(2).vc_dimension() == 3
     rng = np.random.default_rng(7)
     patterns = np.unique(rng.choice((-1, 1), size=(10, 6)), axis=0)
     cls = EnumeratedClass([(float(i),) for i in range(6)], patterns)
@@ -191,23 +193,13 @@ def test_erm_consistency_property():
 def test_membership_coherence_with_constraints():
     cls = full_shatter_class(3)
     vs = VersionSpace(cls).restrict((2.0,), 1).restrict((3.0,), -1)
-    for h in cls.hypotheses(vs.constraints):
-        assert vs.contains(h)
+    survivors = cls.hypotheses(vs.constraints)
+    consistent = [h for h in cls.hypotheses() if all(h.evaluate(p) == lab for p, lab in vs.constraints)]
+    assert [h.index for h in survivors] == [h.index for h in consistent]
+    assert len(survivors) == 2
+    for h in survivors:
         assert h.evaluate((2.0,)) == 1
         assert h.evaluate((3.0,)) == -1
-
-
-def test_halfspace_erm_consistent_with_constraints():
-    cls = HalfspaceClass(2)
-    sample = LabeledSample(
-        ((0.5, 0.5), (0.8, 0.2), (-0.5, -0.5), (-0.2, -0.9)),
-        (1, 1, -1, -1),
-    )
-    constraints = (((0.9, 0.9), 1),)
-    h = cls.erm(constraints, sample)
-    assert h.evaluate((0.9, 0.9)) == 1
-    errors = sum(1 for p, lab in sample.records() if h.evaluate(p) != lab)
-    assert errors == 0
 
 
 def test_halfspace_pattern_count_unsupported():

@@ -301,7 +301,8 @@ def test_intersect_examples_and_chain():
     space = FeasibleSubspace.full(3)
     s1, red = space.intersect(np.array([0.0, 0.0, 1.0]))
     assert not red and s1.dimension == 2
-    assert s1.contains(np.array([1.0, 0.0, 0.0])) and s1.contains(np.array([0.0, 1.0, 0.0]))
+    for z in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
+        assert np.linalg.norm(z - s1.basis @ (s1.basis.T @ z)) <= 1e-12  # z lies in s1
     s1b, red_again = s1.intersect(np.array([0.0, 0.0, 1.0]))
     assert red_again and s1b.dimension == 2
     s2, _ = s1.intersect(np.array([0.0, 1.0, 0.0]))

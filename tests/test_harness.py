@@ -154,6 +154,20 @@ def test_enumerated_concept_mode(tmp_path):
     assert len(payload["rounds"]) == 16
 
 
+def test_default_v_max_uses_the_enumerated_class_vc_dimension(tmp_path):
+    import itertools
+
+    cls_path = tmp_path / "cls.json"
+    patterns = [list(p) for p in itertools.product((-1, 1), repeat=5)]
+    cls_path.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "patterns": patterns}))
+    cfg = _small_config(tmp_path, concept_file=str(cls_path), t_rounds=256, beta=0.1)
+    assert harness.build_run_spec(cfg).v_max == 174  # ceil(4 * (5 * log2 256 + log2 10))
+    # thresholds keep VC 1 and halfspaces d + 1
+    assert harness.build_run_spec(_small_config(tmp_path, t_rounds=256, beta=0.1)).v_max == 46
+    halfspace = _small_config(tmp_path, mode="halfspace", d=3, t_rounds=256)
+    assert harness.build_run_spec(halfspace).v_max == 5
+
+
 def test_stochastic_baseline_mode(tmp_path):
     cfg = _small_config(tmp_path, mode="stochastic-baseline", trials=1)
     row, payload = run_trial(cfg, 0)

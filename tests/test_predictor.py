@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from privpredict.adversaries import BoundaryProbeAdversary, ObliviousAdversary, OfflineAdversary, van_der_corput_queries
-from privpredict.concepts import ThresholdClass, ThresholdHypothesis
+from privpredict.concepts import EnumeratedClass, ThresholdClass, ThresholdHypothesis
 from privpredict.core import (
     AtomDistribution,
     BoxDistribution,
@@ -23,18 +24,7 @@ from privpredict.predictor import (
     _ObliviousGenerator,
     default_v_max,
     run,
-    vote_fraction,
 )
-
-
-def test_vote_fraction_examples():
-    up = [ThresholdHypothesis(1)] * 4
-    down = [ThresholdHypothesis(9)] * 4
-    assert vote_fraction(up, (5.0,)) == 1.0
-    assert vote_fraction(down, (5.0,)) == 0.0
-    assert vote_fraction(up[:2] + down[:2], (5.0,)) == 0.5
-    with pytest.raises(ConfigurationError):
-        vote_fraction([], (5.0,))
 
 
 def _unanimous_run(label):
@@ -193,12 +183,47 @@ def test_determinism_and_stateless_regeneration(monkeypatch):
     assert len(refreshes) == 64 and not any(refreshes)
 
 
+def _direct_vote(hypotheses, x) -> float:
+    return sum(1 for h in hypotheses if h.evaluate(x) > 0) / len(hypotheses)
+
+
 def test_threshold_vote_fast_path_matches_generic():
     blocks = [draw_sample(GridDistribution(256, 100), 8, NoiseSource(i)) for i in range(5)]
     gen = _ObliviousGenerator(ThresholdClass(256), blocks)
     gen.refresh()
-    for x in ((1.0,), (99.0,), (100.0,), (101.0,), (256.0,)):
-        assert gen.vote(x) == vote_fraction(gen.hypotheses, x)
+    assert len({h.threshold for h in gen.hypotheses}) > 1
+    for x in ((0.0,), (1.0,), (99.0,), (100.0,), (101.0,), (256.0,), (300.0,)):
+        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+    assert gen.vote((0.0,)) == 0.0 and gen.vote((300.0,)) == 1.0
+
+
+def test_enumerated_vote_matches_direct_count():
+    points = [(float(i),) for i in range(1, 5)]
+    cls = EnumeratedClass(points, list(itertools.product((-1, 1), repeat=4)))
+    rng = np.random.default_rng(3)
+    blocks = []
+    for _ in range(9):
+        idx = rng.choice(4, size=2, replace=False)
+        blocks.append(LabeledSample(tuple(points[i] for i in idx),
+                                    tuple(int(v) for v in rng.choice((-1, 1), size=2))))
+    gen = _ObliviousGenerator(cls, blocks)
+    gen.refresh()
+    assert len({h.index for h in gen.hypotheses}) > 2
+    for x in points:
+        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+    assert 0.0 < gen.vote((2.0,)) < 1.0
+    gen.on_top((2.0,), 1, None)
+    gen.on_top((3.0,), -1, None)
+    assert gen.refresh() == []
+    for x in points:
+        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+    assert (gen.vote((2.0,)), gen.vote((3.0,))) == (1.0, 0.0)
+
+    # one point, one block per label: the ensemble splits evenly
+    half = _ObliviousGenerator(EnumeratedClass([(1.0,)], [[-1], [1]]),
+                               [LabeledSample(((1.0,),), (1,)), LabeledSample(((1.0,),), (-1,))])
+    half.refresh()
+    assert half.vote((1.0,)) == 0.5
 
 
 def test_oblivious_generator_fallback_flag():
@@ -209,7 +234,8 @@ def test_oblivious_generator_fallback_flag():
     gen.on_top((20.0,), -1, None)  # contradiction
     dropped = gen.refresh()
     assert dropped == [1]
-    assert not gen.space.is_empty()
+    assert gen.space.constraints == (((20.0,), 1),)
+    assert all(h.evaluate((20.0,)) == 1 for h in gen.hypotheses)
 
 
 def test_halfspace_generator_base_case_and_hyperplane():
