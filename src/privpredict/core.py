@@ -65,19 +65,17 @@ class _FirstUse:
 
 
 class NoiseSource:
-    """Seeded randomness with a deterministic zero-noise test mode.
+    """Seeded randomness: identical seeds produce identical streams.
 
-    Identical seeds produce identical streams.  ``zero_noise`` affects only the
-    noise primitives (``uniform`` and ``coin``), which then return the
-    distribution median; structural randomness (shuffles, data sampling) still
-    uses the seeded generator.  Instances are single-owner: derive one child
-    per concurrent task with ``child``.  The generator is built on first use,
-    so a source that only hands out children costs no generator of its own.
+    Noise primitives (``uniform``, ``coin``) and structural randomness
+    (shuffles, data sampling) draw from one seeded generator.  Instances are
+    single-owner: derive one child per concurrent task with ``child``.  The
+    generator is built on first use, so a source that only hands out children
+    costs no generator of its own.
     """
 
-    def __init__(self, seed: int, zero_noise: bool = False, _spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self.zero_noise = bool(zero_noise)
         self._spawn_key = tuple(_spawn_key)
 
     @_FirstUse
@@ -88,28 +86,24 @@ class NoiseSource:
 
     def child(self, index: int) -> "NoiseSource":
         """Deterministic derived source for trial/worker ``index``."""
-        return NoiseSource(self.seed, self.zero_noise, self._spawn_key + (int(index),))
+        return NoiseSource(self.seed, self._spawn_key + (int(index),))
 
     def uniform(self) -> float:
-        """One uniform draw in (0, 1); 0.5 in zero-noise mode."""
-        if self.zero_noise:
-            return 0.5
+        """One uniform draw in (0, 1)."""
         u = float(self.rng.random())
         while u <= 0.0:  # random() can return 0.0; the open interval is required
             u = float(self.rng.random())
         return u
 
     def coin(self) -> int:
-        """Uniform label in {-1, +1}; +1 in zero-noise mode (median convention)."""
-        if self.zero_noise:
-            return POSITIVE
+        """Uniform label in {-1, +1}."""
         return POSITIVE if self.rng.random() >= 0.5 else NEGATIVE
 
     def permutation(self, n: int) -> np.ndarray:
         return self.rng.permutation(n)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"NoiseSource(seed={self.seed}, spawn_key={self._spawn_key}, zero_noise={self.zero_noise})"
+        return f"NoiseSource(seed={self.seed}, spawn_key={self._spawn_key})"
 
 
 def _check_point(p: Point) -> Point:

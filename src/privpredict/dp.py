@@ -23,7 +23,7 @@ from .core import (
 def laplace(scale: float, noise: NoiseSource) -> float:
     """One draw from Laplace(0, scale) by inverse-CDF on a single uniform draw.
 
-    Zero-noise mode feeds u = 0.5 and therefore returns the median 0 exactly.
+    A uniform draw of exactly 0.5 maps to the median 0.
     """
     if scale <= 0:
         raise ConfigurationError(f"Laplace scale must be positive, got {scale}")
@@ -175,6 +175,8 @@ def compose_tight(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, flo
 Mechanism = Callable[[LabeledSample, NoiseSource], Hashable]
 Event = Callable[[Hashable], bool]
 
+AUDIT_CONFIDENCE = 0.95  # two-sided Clopper-Pearson level of every audited frequency
+
 
 @dataclass(frozen=True)
 class EventAudit:
@@ -210,17 +212,17 @@ def _differ_in_one_record(a: LabeledSample, b: LabeledSample) -> bool:
     return diffs == 1
 
 
-def _clopper_pearson(count: int, trials: int, confidence: float) -> tuple[float, float]:
-    tail = (1.0 - confidence) / 2.0
+def _clopper_pearson(count: int, trials: int) -> tuple[float, float]:
+    tail = (1.0 - AUDIT_CONFIDENCE) / 2.0
     lo = 0.0 if count == 0 else float(beta_dist.ppf(tail, count, trials - count + 1))
     hi = 1.0 if count == trials else float(beta_dist.ppf(1.0 - tail, count + 1, trials - count))
     return lo, hi
 
 
-def _one_direction(c_num: int, c_den: int, trials: int, delta: float, confidence: float) -> tuple[float, bool]:
+def _one_direction(c_num: int, c_den: int, trials: int, delta: float) -> tuple[float, bool]:
     """Lower confidence estimate of ln((p_num - delta) / p_den); inf flags divergence."""
-    num_lo, _ = _clopper_pearson(c_num, trials, confidence)
-    _, den_hi = _clopper_pearson(c_den, trials, confidence)
+    num_lo, _ = _clopper_pearson(c_num, trials)
+    _, den_hi = _clopper_pearson(c_den, trials)
     num = num_lo - delta
     if num <= 0.0:
         return -math.inf, False
@@ -239,7 +241,6 @@ def audit_dp(
     trials: int,
     noise: NoiseSource,
     delta: float = 0.0,
-    confidence: float = 0.95,
 ) -> AuditReport:
     """Estimate a privacy lower bound from event frequencies on neighboring inputs.
 
@@ -268,8 +269,8 @@ def audit_dp(
     for name, predicate in events:
         ca = sum(c for out, c in counts_a.items() if predicate(out))
         cb = sum(c for out, c in counts_b.items() if predicate(out))
-        e_ab, d_ab = _one_direction(ca, cb, trials, delta, confidence)
-        e_ba, d_ba = _one_direction(cb, ca, trials, delta, confidence)
+        e_ab, d_ab = _one_direction(ca, cb, trials, delta)
+        e_ba, d_ba = _one_direction(cb, ca, trials, delta)
         eps_hat = max(e_ab, e_ba)
         ev_div = d_ab or d_ba
         per_event.append(EventAudit(name, eps_hat, ev_div, ca / trials, cb / trials))

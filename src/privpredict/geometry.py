@@ -38,6 +38,7 @@ INDETERMINATE_TOL = 1e-6   # residuals in (FEAS_TOL, this) trigger the exact re-
 REDUNDANCY_TOL = 1e-9  # projections below this leave a subspace unchanged
 DEDUP_DECIMALS = 8
 KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
+CANDIDATE_CAP = 20000  # candidate slots per block; more is a CapabilityError
 
 _SPHERE_SEED = 0x5EED  # candidate sphere samples are fixed across runs by design
 
@@ -302,12 +303,12 @@ def _unit_lift(basis: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nd
     return points, nonzero
 
 
-def _check_cap(n: int, r: int, sphere_samples: int, cap: int) -> int:
-    """Candidate slots per block; more than ``cap`` is a CapabilityError."""
+def _check_cap(n: int, r: int, sphere_samples: int) -> int:
+    """Candidate slots per block; more than CANDIDATE_CAP is a CapabilityError."""
     n_boundary = 2 * math.comb(n, r - 1) if r > 1 else 2
-    if n_boundary + sphere_samples > cap:
+    if n_boundary + sphere_samples > CANDIDATE_CAP:
         raise CapabilityError(
-            f"{n_boundary} boundary candidates exceed the cap {cap}; reduce the "
+            f"{n_boundary} boundary candidates exceed the cap {CANDIDATE_CAP}; reduce the "
             "constraint count or dimension"
         )
     return n_boundary + (sphere_samples if r > 1 else 0)
@@ -389,7 +390,6 @@ def arrangement_candidates(
     profile: DepthProfile,
     subspace: FeasibleSubspace,
     sphere_samples: int = 64,
-    cap: int = 20000,
 ) -> np.ndarray:
     """Candidate maximizer set on the subspace's unit sphere.
 
@@ -407,7 +407,7 @@ def arrangement_candidates(
     r = subspace.dimension
     if r < 1:
         raise ConfigurationError("candidate generation needs a subspace of dimension >= 1")
-    _check_cap(len(profile), r, sphere_samples, cap)
+    _check_cap(len(profile), r, sphere_samples)
     points, _ = _block_candidates(_one_block(profile, subspace), subspace.basis,
                                   _lifted_sphere(subspace.basis, sphere_samples))
     return points if len(points) else np.empty(0)
@@ -424,7 +424,6 @@ def argmax_cdepth_blocks(
     normals: np.ndarray,
     subspace: FeasibleSubspace,
     sphere_samples: int = 64,
-    cap: int = 20000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth argmax of every block inside one shared subspace, in one pass.
 
@@ -440,7 +439,7 @@ def argmax_cdepth_blocks(
     if r == 0:
         # the degenerate all-zero hypothesis satisfies every constraint weakly
         return np.zeros((k, ambient)), np.full(k, n, dtype=np.intp)
-    slots = _check_cap(n, r, sphere_samples, cap)
+    slots = _check_cap(n, r, sphere_samples)
     sphere = _lifted_sphere(subspace.basis, sphere_samples)
     step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + r * r + 4 * ambient)))
     points = np.empty((k, ambient))
@@ -460,7 +459,6 @@ def argmax_cdepth(
     profile: DepthProfile,
     subspace: FeasibleSubspace,
     sphere_samples: int = 64,
-    cap: int = 20000,
 ) -> CdepthArgmax:
     """Point of the subspace maximizing cdepth over the candidate set.
 
@@ -475,7 +473,7 @@ def argmax_cdepth(
     ``argmax_cdepth_blocks``.
     """
     points, depths = argmax_cdepth_blocks(_one_block(profile, subspace), subspace,
-                                          sphere_samples, cap)
+                                          sphere_samples)
     return CdepthArgmax(point=points[0], value=int(depths[0]),
                         degenerate=subspace.dimension == 0)
 

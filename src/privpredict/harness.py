@@ -45,12 +45,12 @@ from .dp import (
     PrivacyLedger,
     audit_dp,
     bt_init,
-    bt_query,
+    bt_query,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     compose_tight,
     first_top_events,
     label_prefix_events,
 )
-from .predictor import RunSpec, default_v_max, run
+from .predictor import RunSpec, answer_query, default_v_max, run
 
 CSV_COLUMNS = [
     "seed",
@@ -139,7 +139,8 @@ def _build_distribution(cfg: ExperimentConfig, noise: NoiseSource):
         if cfg.concept_file:
             concept = load_enumerated_class(cfg.concept_file)
             probs = tuple(1.0 / len(concept.points) for _ in concept.points)
-            labels = tuple(int(v) for v in concept.patterns[0])
+            target = concept.patterns[int(noise.rng.integers(len(concept.patterns)))]
+            labels = tuple(int(v) for v in target)
             return AtomDistribution(concept.points, probs, labels), concept
         threshold = cfg.threshold or cfg.domain_size // 2 + 1
         return GridDistribution(cfg.domain_size, threshold), ThresholdClass(cfg.domain_size)
@@ -393,10 +394,11 @@ class AuditToy:
         """The vote/threshold channel of a prediction run with top budget zero.
 
         Equivalent to the full loop with singleton blocks: the partition draw is
-        consumed identically and vote counts are permutation invariant.
+        consumed identically, vote counts are permutation invariant, and each
+        vote is answered by ``answer_query``, the step ``run`` uses.
         """
         params = self.params(scale_factor)
-        stream = self.stream()
+        xs = np.array([x[0] for x in self.stream()])
         k = self.k
 
         def mech(sample: LabeledSample, noise: NoiseSource):
@@ -405,23 +407,17 @@ class AuditToy:
             thresholds = np.sort(
                 [1.0 if lab > 0 else p[0] + 1.0 for p, lab in sample.records()]
             )
+            # the vote counts of every round at once; nearly every transcript
+            # halts within its first few rounds, so a count is divided on use
+            counts = np.searchsorted(thresholds, xs, side="right").tolist()
             state = bt_init(params, mech_noise)
             labels: list[int] = []
-            first_top = 0
-            aborted = False
-            for j, x in enumerate(stream, 1):
-                q = float(np.searchsorted(thresholds, x[0], side="right")) / k
-                outcome = bt_query(state, q, mech_noise)
-                if outcome is BTOutcome.L:
-                    labels.append(-1)
-                elif outcome is BTOutcome.R:
-                    labels.append(1)
-                else:
-                    labels.append(mech_noise.coin())
-                    first_top = j
-                    aborted = True
-                    break
-            return tuple(labels), first_top, aborted
+            for j, count in enumerate(counts, 1):
+                outcome, label = answer_query(state, count / k, mech_noise)
+                labels.append(label)
+                if outcome is BTOutcome.TOP:
+                    return tuple(labels), j, True
+            return tuple(labels), 0, False
 
         return mech
 

@@ -2,10 +2,9 @@
 generators, plus a desk-scale planner that splits a fixed labeled budget.
 
 The closed forms are evaluated with natural logarithms and unit constants
-wherever the source bounds hide one; the block-size constant is overridable.
-Every returned plan is validated against the mechanism's threshold-gap
-precondition, and an unsatisfiable combination raises a PlanningError naming
-the binding constraint.
+wherever the source bounds hide one.  Every returned plan is validated against
+the mechanism's threshold-gap precondition, and an unsatisfiable combination
+raises a PlanningError naming the binding constraint.
 """
 
 from __future__ import annotations
@@ -27,25 +26,16 @@ class PlanResult:
     bt_alpha: float
     bt_beta: float
 
-    def bt_params(self, t_rounds: int, t_lower: float = 0.375, t_upper: float = 0.625) -> BTParams:
-        return BTParams(
-            eps=self.bt_eps,
-            delta=self.bt_delta,
-            n=self.k,
-            t_lower=t_lower,
-            t_upper=t_upper,
-            max_queries=t_rounds,
-        )
+    def bt_params(self, t_rounds: int) -> BTParams:
+        return BTParams(eps=self.bt_eps, delta=self.bt_delta, n=self.k, max_queries=t_rounds)
 
 
 def _ensemble_size(bt_eps: float, bt_beta: float, t: int) -> int:
     return math.ceil((64.0 / bt_eps) * (math.log(t + 1.0) + math.log(1.0 / bt_beta)))
 
 
-def _block_size(d: int, bt_alpha: float, bt_beta: float, m_constant: float) -> int:
-    return math.ceil(
-        m_constant * (d * math.log(d / bt_alpha) + math.log(1.0 / bt_beta)) / bt_alpha**2
-    )
+def _block_size(d: int, bt_alpha: float, bt_beta: float) -> int:
+    return math.ceil((d * math.log(d / bt_alpha) + math.log(1.0 / bt_beta)) / bt_alpha**2)
 
 
 def _validated(plan: PlanResult, t: int) -> PlanResult:
@@ -62,8 +52,7 @@ def _validated(plan: PlanResult, t: int) -> PlanResult:
     return plan
 
 
-def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta: float,
-                   m_constant: float = 1.0) -> PlanResult:
+def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta: float) -> PlanResult:
     """Internal parameters and (k, m, N) for version-space runs over a VC-d class.
 
     The shared inner quantity is J = ln(d*ln(T) / (alpha*beta*eps*delta)) and the
@@ -85,7 +74,7 @@ def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     bt_delta = delta / big_l
     bt_alpha = alpha / big_l
     k = _ensemble_size(bt_eps, bt_beta, t)
-    m = _block_size(d, bt_alpha, bt_beta, m_constant)
+    m = _block_size(d, bt_alpha, bt_beta)
     return _validated(
         PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
                    bt_alpha=bt_alpha, bt_beta=bt_beta),
@@ -93,8 +82,7 @@ def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     )
 
 
-def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta: float,
-                   m_constant: float = 1.0) -> PlanResult:
+def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta: float) -> PlanResult:
     """Internal parameters and (k, m, N) for subspace runs over d-dimensional halfspaces."""
     if t < 3:
         raise PlanningError("planning needs T >= 3 so that ln(ln(T)) is positive")
@@ -113,7 +101,7 @@ def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta:
         )
     bt_beta = beta * eps / (d * log_t * math.sqrt(d * math.log(d * log_t / delta)) * tail)
     k = _ensemble_size(bt_eps, bt_beta, t)
-    m = _block_size(d, bt_alpha, bt_beta, m_constant)
+    m = _block_size(d, bt_alpha, bt_beta)
     return _validated(
         PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
                    bt_alpha=bt_alpha, bt_beta=bt_beta),

@@ -38,7 +38,9 @@ from .core import (
     empirical_error,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     partition,
 )
-from .dp import BTOutcome, BTParams, PrivacyLedger, bt_init, bt_query, compose_advanced
+from .dp import BTOutcome, BTParams, BTState, PrivacyLedger, bt_init, bt_query, compose_advanced
+
+DELTA_PRIME = 1e-6  # delta' of the advanced composition over a run's halted instances
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,8 @@ class RunSpec:
     bt_eps: float
     bt_delta: float
     v_max: int
-    t_lower: float = 0.375
-    t_upper: float = 0.625
-    delta_prime: float = 1e-6
+    t_lower: float = BTParams.t_lower
+    t_upper: float = BTParams.t_upper
     sphere_samples: int = 64
 
     def bt_params(self) -> BTParams:
@@ -66,6 +67,16 @@ class RunSpec:
             t_upper=self.t_upper,
             max_queries=self.t_rounds,
         )
+
+
+def answer_query(state: BTState, q: float, noise: NoiseSource) -> tuple[BTOutcome, int]:
+    """One BetweenThresholds answer: L is -1, R is +1, and TOP draws a fair coin."""
+    outcome = bt_query(state, q, noise)
+    if outcome is BTOutcome.L:
+        return outcome, -1
+    if outcome is BTOutcome.R:
+        return outcome, 1
+    return outcome, noise.coin()
 
 
 def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> int:
@@ -290,7 +301,9 @@ def run(
     history: list[tuple[Point, int]] = []
     stale = True
 
-    def note_progress() -> None:
+    def refresh(round_index: int) -> None:
+        for idx in generator.refresh():
+            report.fallback_flags.append({"round": round_index, "dropped_constraint": idx})
         if spec.generator != "halfspace":
             return
         entry = {
@@ -302,20 +315,11 @@ def run(
 
     for j in range(1, spec.t_rounds + 1):
         if stale:
-            dropped = generator.refresh()
-            for idx in dropped:
-                report.fallback_flags.append({"round": j, "dropped_constraint": idx})
-            note_progress()
+            refresh(j)
             stale = False
         x = adversary.next_query(history, adv_noise)
         q = generator.vote(x)
-        outcome = bt_query(bt_state, q, mech_noise)
-        if outcome is BTOutcome.L:
-            label = -1
-        elif outcome is BTOutcome.R:
-            label = 1
-        else:
-            label = mech_noise.coin()
+        outcome, label = answer_query(bt_state, q, mech_noise)
         entry = {"round": j, "x": list(x), "outcome": outcome.value, "label": label, "q": q}
         report.rounds.append(entry)
         history.append((x, label))
@@ -335,12 +339,9 @@ def run(
             bt_state = bt_init(params, mech_noise)
 
     if stale:
-        dropped = generator.refresh()
-        for idx in dropped:
-            report.fallback_flags.append({"round": spec.t_rounds + 1, "dropped_constraint": idx})
-        note_progress()
+        refresh(spec.t_rounds + 1)
     report.degenerate = generator.degenerate
-    report.eps_total, report.delta_total = compose_advanced(ledger, spec.delta_prime)
+    report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
     hypotheses = generator.hypotheses
     report.final_hypotheses = [_serialize_hypothesis(h) for h in hypotheses]
     wrong = (evaluate_many(hypotheses, sample.points) != np.asarray(sample.labels)).sum(axis=1)

@@ -36,3 +36,70 @@ def test_tracer_hooks_install_and_restore(tracing):
         patches.restore()
     for (owner, attr), original in originals.items():
         assert _current(owner, attr) is original, (owner, attr)
+
+
+# Hooks that no benchmark workload reaches, each with the reason.  A hook that
+# falls silent after a refactor (its caller now resolves a different name)
+# leaves its per-layer metric at 0; it then shows up here as a new entry.
+NEVER_CALLED = {
+    # the halfspace refresh runs the batched argmax_cdepth_blocks, not these
+    # per-block functions
+    "geometry.argmax_cdepth",
+    "geometry.arrangement_candidates",
+    "DepthProfile.depths",
+    # threshold blocks refit through ThresholdClass.erm_blocks; only the
+    # enumerated path, which no workload uses, calls VersionSpace.erm
+    "VersionSpace.erm",
+    # run_trial serializes through to_payload; the JSON is built by the caller
+    "RunReport.to_json",
+    # the block error is one evaluate_many count, not empirical_error
+    "predictor.empirical_error",
+    # the audit toy answers through predictor.answer_query, which resolves
+    # predictor.bt_query
+    "harness.bt_query",
+    # no workload streams queries from these adversaries
+    "BisectionAdversary.next_query",
+    "StochasticAdversary.next_query",
+}
+
+
+def _hook_name(owner, attr):
+    return f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+
+
+def test_every_hook_but_the_listed_ones_sees_a_call(tracing):
+    from privpredict import harness
+
+    workloads = importlib.import_module("workloads").WORKLOADS
+    patches = tracing.Patches()
+    tracing.AnswerClock().install(patches)
+    tracing.Tracer().install(patches)
+    hooks = {(owner, attr) for owner, attr, _ in patches._undo}
+    patches.restore()
+
+    calls = {_hook_name(owner, attr): 0 for owner, attr in hooks}
+
+    def counter(name):
+        def make(fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return make
+
+    patches = tracing.Patches()
+    try:
+        for owner, attr in hooks:
+            patches.replace(owner, attr, counter(_hook_name(owner, attr)))
+        # one short trial in the shape of each prediction workload; both seeds
+        # have top rounds, so the refit and shrink hooks run
+        for name, short in (("halfspace-adaptive", dict(t_rounds=64)),
+                            ("oblivious-sweep", dict(t_rounds=256, heldout=100))):
+            cfg = harness.ExperimentConfig(seed=0, **dict(workloads[name].config, **short))
+            row, _ = harness.run_trial(cfg, 0)
+            assert row["top_count"] > 0, name
+        for broken in (False, True):
+            harness.run_audit(1000, 7, broken=broken)
+    finally:
+        patches.restore()
+    assert {name for name, count in calls.items() if count == 0} == NEVER_CALLED

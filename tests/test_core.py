@@ -34,12 +34,6 @@ def test_noise_source_determinism_and_children():
     assert NoiseSource(42).child(3).uniform() != NoiseSource(42).child(4).uniform()
 
 
-def test_zero_noise_medians():
-    ns = NoiseSource(0, zero_noise=True)
-    assert ns.uniform() == 0.5
-    assert ns.coin() == 1
-
-
 def test_point_mass_draws_three_copies():
     dist = AtomDistribution(atoms=((7.0,),), probs=(1.0,), atom_labels=(1,))
     sample = draw_sample(dist, 3, NoiseSource(1))

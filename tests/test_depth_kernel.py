@@ -143,28 +143,28 @@ def _block_stack(seed: int, k: int, ambient: int, r: int, n: int, copies: int, i
     return np.array(blocks).reshape(k, n, ambient), space
 
 
-def _oracle_blocks(normals, space, sphere, cap=20000):
+def _oracle_blocks(normals, space, sphere):
     """The scalar oracle on each block alone, or the error the batch must raise."""
     results = []
     for block in normals:
         profile = DepthProfile(block if len(block) else np.zeros((0, space.ambient_dim)))
         if space.dimension > 0:
-            candidates = _outcome(oracle.arrangement_candidates, profile, space, sphere, cap)
+            candidates = _outcome(oracle.arrangement_candidates, profile, space, sphere)
             if isinstance(candidates, type):
                 return candidates
             if len(candidates) == 0:
                 return ConfigurationError
-        results.append(oracle.argmax_cdepth(profile, space, sphere, cap))
+        results.append(oracle.argmax_cdepth(profile, space, sphere))
     return results
 
 
-def _assert_blocks_match(normals, space, sphere, cap=20000):
-    expected = _oracle_blocks(normals, space, sphere, cap)
+def _assert_blocks_match(normals, space, sphere):
+    expected = _oracle_blocks(normals, space, sphere)
     if isinstance(expected, type):
         with pytest.raises(expected):
-            geometry.argmax_cdepth_blocks(normals, space, sphere, cap)
+            geometry.argmax_cdepth_blocks(normals, space, sphere)
         return
-    points, depths = geometry.argmax_cdepth_blocks(normals, space, sphere, cap)
+    points, depths = geometry.argmax_cdepth_blocks(normals, space, sphere)
     assert points.shape == (len(normals), space.ambient_dim) and depths.shape == (len(normals),)
     for b, want in enumerate(expected):
         assert _same_bits(points[b], want.point)
@@ -231,7 +231,7 @@ def test_multi_block_kernel_errors_and_degenerate_case():
     space = FeasibleSubspace.full(4)
     normals = np.random.default_rng(0).standard_normal((3, 80, 4))
     with pytest.raises(CapabilityError, match=f"^{2 * math.comb(80, 3)} boundary candidates"):
-        geometry.argmax_cdepth_blocks(normals, space, 64, 2000)
+        geometry.argmax_cdepth_blocks(normals, space, 64)
     # a second block with a single boundary has no candidates without sphere draws
     lonely = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]])
     with pytest.raises(ConfigurationError, match="no depth candidates"):
@@ -248,12 +248,13 @@ def test_cap_error_comes_first_and_is_unchanged():
     messages = []
     for kernel in (oracle.arrangement_candidates, geometry.arrangement_candidates):
         with pytest.raises(CapabilityError) as info:
-            kernel(profile, space, 64, 2000)
+            kernel(profile, space, 64)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert messages[1].startswith(f"{2 * math.comb(80, 3)} boundary candidates exceed the cap 2000")
+    assert messages[1].startswith(
+        f"{2 * math.comb(80, 3)} boundary candidates exceed the cap {geometry.CANDIDATE_CAP}")
     with pytest.raises(CapabilityError):
-        geometry.argmax_cdepth(profile, space, 64, 2000)
+        geometry.argmax_cdepth(profile, space, 64)
 
 
 # --- whole runs: the batched kernel and block error leave reports byte-identical ---
@@ -297,8 +298,8 @@ def test_halfspace_trials_byte_identical_to_scalar_kernel(monkeypatch):
     batched, seen = _runs_with_samples(cfg, (0, 1), monkeypatch)
     refits = []
 
-    def per_block_oracle(normals, subspace, sphere_samples=64, cap=20000):
-        results = [oracle.argmax_cdepth(DepthProfile(block), subspace, sphere_samples, cap)
+    def per_block_oracle(normals, subspace, sphere_samples=64):
+        results = [oracle.argmax_cdepth(DepthProfile(block), subspace, sphere_samples)
                    for block in normals]
         refits.append(len(results))
         return np.array([r.point for r in results]), np.array([r.value for r in results])

@@ -25,10 +25,11 @@ from privpredict.dp import (
     laplace,
     required_threshold_gap,
 )
+from zero_noise import ZeroNoise
 
 
 def test_laplace_median_and_validation():
-    assert laplace(1.0, NoiseSource(0, zero_noise=True)) == 0.0
+    assert laplace(1.0, ZeroNoise(0)) == 0.0
     with pytest.raises(ConfigurationError):
         laplace(0.0, NoiseSource(0))
     with pytest.raises(ConfigurationError):
@@ -71,7 +72,7 @@ def test_bt_params_gap_precondition():
 
 def test_bt_init_zero_noise_thresholds():
     params = BTParams(eps=8.0, delta=1e-3, n=52, max_queries=4)
-    state = bt_init(params, NoiseSource(0, zero_noise=True))
+    state = bt_init(params, ZeroNoise(0))
     assert (state.noisy_lower, state.noisy_upper) == (0.375, 0.625)
     assert not state.halted
 
@@ -85,7 +86,7 @@ def test_bt_init_deterministic():
 
 def test_bt_query_zero_noise_outcomes():
     params = BTParams(eps=8.0, delta=1e-3, n=52, max_queries=8)
-    zn = NoiseSource(0, zero_noise=True)
+    zn = ZeroNoise(0)
     state = bt_init(params, zn)
     assert bt_query(state, 0.2, zn) is BTOutcome.L
     assert bt_query(state, 0.8, zn) is BTOutcome.R
@@ -95,7 +96,7 @@ def test_bt_query_zero_noise_outcomes():
 
 def test_bt_halted_instance_rejects_queries():
     params = BTParams(eps=8.0, delta=1e-3, n=52, max_queries=8)
-    zn = NoiseSource(0, zero_noise=True)
+    zn = ZeroNoise(0)
     state = bt_init(params, zn)
     assert bt_query(state, 0.5, zn) is BTOutcome.TOP
     with pytest.raises(UsageError):
@@ -104,7 +105,7 @@ def test_bt_halted_instance_rejects_queries():
 
 def test_bt_query_budget_enforced():
     params = BTParams(eps=8.0, delta=1e-3, n=52, max_queries=1)
-    zn = NoiseSource(0, zero_noise=True)
+    zn = ZeroNoise(0)
     state = bt_init(params, zn)
     bt_query(state, 0.1, zn)
     with pytest.raises(UsageError):

@@ -256,7 +256,7 @@ def test_arrangement_candidates_dedup_and_cap():
     assert sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))
     big = DepthProfile(np.random.default_rng(0).standard_normal((80, 4)))
     with pytest.raises(CapabilityError):
-        arrangement_candidates(big, FeasibleSubspace.full(4), cap=2000)
+        arrangement_candidates(big, FeasibleSubspace.full(4))
 
 
 def test_argmax_cdepth_feasible_and_degenerate():

@@ -154,6 +154,21 @@ def test_enumerated_concept_mode(tmp_path):
     assert len(payload["rounds"]) == 16
 
 
+def test_enumerated_mode_draws_a_target_the_ensemble_can_split_on(tmp_path):
+    # Row 0 of the full-shatter class labels every point -1 and is every
+    # block's first consistent row; as the target it would make every vote
+    # unanimous, so the target row is drawn instead.
+    import itertools
+
+    cls_path = tmp_path / "cls.json"
+    patterns = [list(p) for p in itertools.product((-1, 1), repeat=5)]
+    cls_path.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "patterns": patterns}))
+    cfg = _small_config(tmp_path, concept_file=str(cls_path), t_rounds=64, trials=10)
+    payloads = [run_trial(cfg, i)[1] for i in range(cfg.trials)]
+    assert any(0 < r["q"] < 1 for p in payloads for r in p["rounds"])
+    assert any(p["top_count"] > 0 for p in payloads)
+
+
 def test_default_v_max_uses_the_enumerated_class_vc_dimension(tmp_path):
     import itertools
 
@@ -253,25 +268,30 @@ def test_cli_audit_quick(capsys):
 
 
 def test_audit_toy_mechanism_matches_full_predictor_loop():
-    """The lean audited channel reproduces the full loop bit for bit."""
-    toy = AuditToy()
-    sample, _ = toy.samples()
-    mech = toy.mechanism()
+    """The lean audited channel reproduces the full loop bit for bit, on both
+    samples and for the honest and the broken (half-noise) variant."""
     from privpredict.concepts import ThresholdClass
 
-    spec = RunSpec(
-        generator="oblivious",
-        k=toy.k,
-        m=1,
-        t_rounds=toy.t_rounds,
-        bt_eps=toy.bt_eps,
-        bt_delta=toy.bt_delta,
-        v_max=0,
-        t_lower=toy.t_lower,
-        t_upper=toy.t_upper,
-    )
-    for seed in range(6):
-        lean = mech(sample, NoiseSource(seed))
-        full = run(spec, sample, ObliviousAdversary(tuple(toy.stream())),
-                   NoiseSource(seed), concept=ThresholdClass(toy.domain))
-        assert lean == full.observable()
+    toy = AuditToy()
+    stops = set()
+    for scale_factor in (1.0, 0.5):
+        mech = toy.mechanism(scale_factor)
+        spec = RunSpec(
+            generator="oblivious",
+            k=toy.k,
+            m=1,
+            t_rounds=toy.t_rounds,
+            bt_eps=toy.bt_eps / scale_factor,
+            bt_delta=toy.bt_delta,
+            v_max=0,
+            t_lower=toy.t_lower,
+            t_upper=toy.t_upper,
+        )
+        for side, sample in enumerate(toy.samples()):
+            for seed in range(60):
+                lean = mech(sample, NoiseSource(seed))
+                full = run(spec, sample, ObliviousAdversary(tuple(toy.stream())),
+                           NoiseSource(seed), concept=ThresholdClass(toy.domain))
+                assert lean == full.observable(), (scale_factor, side, seed)
+                stops.add(lean[2])
+    assert stops == {False, True}  # halted and full-length transcripts both compared

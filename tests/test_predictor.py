@@ -25,6 +25,7 @@ from privpredict.predictor import (
     default_v_max,
     run,
 )
+from zero_noise import ZeroNoise
 
 
 def _unanimous_run(label):
@@ -35,7 +36,7 @@ def _unanimous_run(label):
     sample = draw_sample(dist, 52, NoiseSource(1))
     query = (atom_x,) if label > 0 else (atom_x - 20.0,)
     adversary = ObliviousAdversary((query,))
-    return run(spec, sample, adversary, NoiseSource(2, zero_noise=True),
+    return run(spec, sample, adversary, ZeroNoise(2),
                concept=ThresholdClass(100), target=dist if label > 0 else None)
 
 
@@ -54,7 +55,7 @@ def _split_sample():
 def test_zero_noise_split_vote_is_hard():
     spec = RunSpec("oblivious", k=52, m=1, t_rounds=1, bt_eps=8.0, bt_delta=1e-3, v_max=5)
     adversary = ObliviousAdversary(((1.0,),))  # 26 blocks vote +1 (t=1), 26 vote -1 (t=2)
-    report = run(spec, _split_sample(), adversary, NoiseSource(3, zero_noise=True),
+    report = run(spec, _split_sample(), adversary, ZeroNoise(3),
                  concept=ThresholdClass(100))
     [entry] = report.rounds
     assert entry["outcome"] == "top"
@@ -67,7 +68,7 @@ def test_zero_noise_split_vote_is_hard():
 def test_budget_abort():
     spec = RunSpec("oblivious", k=52, m=1, t_rounds=3, bt_eps=8.0, bt_delta=1e-3, v_max=0)
     adversary = ObliviousAdversary(((1.0,), (1.0,), (1.0,)))
-    report = run(spec, _split_sample(), adversary, NoiseSource(3, zero_noise=True),
+    report = run(spec, _split_sample(), adversary, ZeroNoise(3),
                  concept=ThresholdClass(100))
     assert report.aborted
     assert report.top_count == 1
@@ -81,7 +82,7 @@ def test_empty_transcript_run():
     report = run(spec, sample, ObliviousAdversary(()), NoiseSource(1),
                  concept=ThresholdClass(64))
     assert report.rounds == []
-    assert (report.eps_total, report.delta_total) == (0.0, spec.delta_prime)
+    assert (report.eps_total, report.delta_total) == (0.0, predictor.DELTA_PRIME)
 
 
 def test_sample_size_checked():
