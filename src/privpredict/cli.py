@@ -58,6 +58,8 @@ def _cmd_plan(args) -> int:
         "bt_delta": plan.bt_delta,
         "bt_alpha": plan.bt_alpha,
         "bt_beta": plan.bt_beta,
+        "bt_beta_unclamped": plan.bt_beta_unclamped,
+        "vacuous": plan.vacuous,
     }, indent=2, sort_keys=True))
     return 0
 

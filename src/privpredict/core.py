@@ -41,27 +41,8 @@ class StreamExhausted(RuntimeError):
     """A fixed query stream has no further points."""
 
 
-class _FirstUse:
-    """Attribute computed on first read and then stored on the instance.
-
-    Unlike ``functools.cached_property``, the value is stored with ``setattr``
-    rather than through ``__dict__``; on CPython 3.11 touching ``__dict__``
-    materializes the instance dictionary, which slows every later attribute
-    read of that instance (``NoiseSource.uniform`` reads ``rng`` on each draw).
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.build(instance)
-        setattr(instance, self.name, value)
-        return value
+FIRST_BLOCK = 4  # doubles in a source's first noise block
+BLOCK_CAP = 256  # blocks double in size up to this many doubles
 
 
 class NoiseSource:
@@ -72,32 +53,72 @@ class NoiseSource:
     single-owner: derive one child per concurrent task with ``child``.  The
     generator is built on first use, so a source that only hands out children
     costs no generator of its own.
+
+    Draw contract: structural draws (``rng``, ``permutation``) come first,
+    noise draws after them.  Noise draws are taken from blocks of doubles
+    drawn ahead with one ``Generator.random(n)`` call each; the blocks start
+    at ``FIRST_BLOCK`` doubles and double up to ``BLOCK_CAP``.  They hand out
+    the very doubles that one scalar ``random()`` per draw would, but leave the
+    generator ahead of the draws handed out, so a structural draw after the
+    first noise draw raises ``UsageError``.
     """
+
+    # class-level defaults, so that __init__ and child do no work
+    _rng: np.random.Generator | None = None  # built on first use
+    _draws = iter(())  # the current block; the shared empty one until the first noise draw
+    _block = 0  # size of the current block, 0 before the first noise draw
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._spawn_key = tuple(_spawn_key)
 
-    @_FirstUse
+    def _generator(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
+            )
+        return self._rng
+
+    @property
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
-        )
+        """The generator, for structural draws made before any noise draw."""
+        if self._block:
+            raise UsageError(
+                "structural draw after a noise draw: the generator is ahead of the "
+                "noise handed out, so draw structure first"
+            )
+        return self._generator()
 
     def child(self, index: int) -> "NoiseSource":
         """Deterministic derived source for trial/worker ``index``."""
         return NoiseSource(self.seed, self._spawn_key + (int(index),))
 
+    def _refill(self) -> float:
+        """Draw the next block and return its first double."""
+        size = min(2 * self._block, BLOCK_CAP) or FIRST_BLOCK
+        self._block = size
+        self._draws = draws = iter(self._generator().random(size).tolist())
+        return next(draws)
+
+    def _double(self) -> float:
+        u = next(self._draws, None)
+        return self._refill() if u is None else u
+
     def uniform(self) -> float:
         """One uniform draw in (0, 1)."""
-        u = float(self.rng.random())
+        # next() gives None at the end of a block; both None and a 0.0 draw
+        # take the slow path
+        return next(self._draws, None) or self._positive()
+
+    def _positive(self) -> float:
+        u = self._double()
         while u <= 0.0:  # random() can return 0.0; the open interval is required
-            u = float(self.rng.random())
+            u = self._double()
         return u
 
     def coin(self) -> int:
         """Uniform label in {-1, +1}."""
-        return POSITIVE if self.rng.random() >= 0.5 else NEGATIVE
+        return POSITIVE if self._double() >= 0.5 else NEGATIVE
 
     def permutation(self, n: int) -> np.ndarray:
         return self.rng.permutation(n)
@@ -191,9 +212,11 @@ class BoxDistribution:
             raise ConfigurationError("box must have positive volume")
         if not any(c != 0.0 for c in self.normal):
             raise ConfigurationError("target normal must be nonzero")
+        # converted once, so that each label converts only the query point
+        object.__setattr__(self, "_normal", np.asarray(self.normal, dtype=float))
 
     def label(self, p: Point) -> int:
-        return POSITIVE if float(np.dot(self.normal, p)) >= self.offset else NEGATIVE
+        return POSITIVE if float(np.dot(self._normal, p)) >= self.offset else NEGATIVE
 
     def labels(self, points: list[Point]) -> tuple[int, ...]:
         return tuple(self.label(p) for p in points)

@@ -40,7 +40,6 @@ from .core import (
     draw_sample,
 )
 from .dp import (
-    BTOutcome,
     BTParams,
     PrivacyLedger,
     audit_dp,
@@ -413,9 +412,9 @@ class AuditToy:
             state = bt_init(params, mech_noise)
             labels: list[int] = []
             for j, count in enumerate(counts, 1):
-                outcome, label = answer_query(state, count / k, mech_noise)
+                _, label = answer_query(state, count / k, mech_noise)
                 labels.append(label)
-                if outcome is BTOutcome.TOP:
+                if state.halted:  # a TOP answer halts the instance
                     return tuple(labels), j, True
             return tuple(labels), 0, False
 

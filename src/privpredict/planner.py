@@ -18,6 +18,13 @@ from .dp import BTParams
 
 @dataclass(frozen=True)
 class PlanResult:
+    """A plan's sizes and per-instance parameters.
+
+    ``bt_beta_unclamped`` is the failure rate the ensemble size implies before
+    any clamp; the closed-form planners never clamp, so there it equals
+    ``bt_beta``.
+    """
+
     k: int
     m: int
     n_total: int
@@ -25,6 +32,12 @@ class PlanResult:
     bt_delta: float
     bt_alpha: float
     bt_beta: float
+    bt_beta_unclamped: float
+
+    @property
+    def vacuous(self) -> bool:
+        """The plan clamped bt_beta, so no meaningful accuracy guarantee stands behind it."""
+        return self.bt_beta_unclamped > self.bt_beta
 
     def bt_params(self, t_rounds: int) -> BTParams:
         return BTParams(eps=self.bt_eps, delta=self.bt_delta, n=self.k, max_queries=t_rounds)
@@ -77,7 +90,7 @@ def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     m = _block_size(d, bt_alpha, bt_beta)
     return _validated(
         PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
-                   bt_alpha=bt_alpha, bt_beta=bt_beta),
+                   bt_alpha=bt_alpha, bt_beta=bt_beta, bt_beta_unclamped=bt_beta),
         t,
     )
 
@@ -104,7 +117,7 @@ def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     m = _block_size(d, bt_alpha, bt_beta)
     return _validated(
         PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
-                   bt_alpha=bt_alpha, bt_beta=bt_beta),
+                   bt_alpha=bt_alpha, bt_beta=bt_beta, bt_beta_unclamped=bt_beta),
         t,
     )
 
@@ -115,7 +128,8 @@ def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> Plan
     Chooses the smallest ensemble size that satisfies the threshold-gap
     precondition at (bt_eps, bt_delta) and divides the budget, leaving the rest
     as block size.  The implied per-instance failure rate is reported as
-    bt_beta via the ensemble-size relation; accuracy granularity stays at the
+    bt_beta via the ensemble-size relation, clamped to 0.5; when the clamp
+    binds, the plan is flagged ``vacuous``.  Accuracy granularity stays at the
     vote thresholds' 1/8.
     """
     if n_budget < 2:
@@ -128,7 +142,7 @@ def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> Plan
             f"no ensemble size in [{k_min}, {n_budget}] divides the budget {n_budget}; "
             "the threshold-gap precondition binds"
         )
-    implied_beta = min(0.5, (t + 1.0) * math.exp(-bt_eps * k / 64.0))
+    implied_beta = (t + 1.0) * math.exp(-bt_eps * k / 64.0)
     plan = PlanResult(
         k=k,
         m=n_budget // k,
@@ -136,7 +150,8 @@ def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> Plan
         bt_eps=bt_eps,
         bt_delta=bt_delta,
         bt_alpha=0.125,
-        bt_beta=implied_beta,
+        bt_beta=min(0.5, implied_beta),
+        bt_beta_unclamped=implied_beta,
     )
     try:
         plan.bt_params(t)

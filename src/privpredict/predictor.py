@@ -38,7 +38,18 @@ from .core import (
     empirical_error,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     partition,
 )
-from .dp import BTOutcome, BTParams, BTState, PrivacyLedger, bt_init, bt_query, compose_advanced
+from .dp import (
+    _L,
+    _R,
+    _TOP,
+    BTOutcome,
+    BTParams,
+    BTState,
+    PrivacyLedger,
+    bt_init,
+    bt_query,
+    compose_advanced,
+)
 
 DELTA_PRIME = 1e-6  # delta' of the advanced composition over a run's halted instances
 
@@ -72,9 +83,9 @@ class RunSpec:
 def answer_query(state: BTState, q: float, noise: NoiseSource) -> tuple[BTOutcome, int]:
     """One BetweenThresholds answer: L is -1, R is +1, and TOP draws a fair coin."""
     outcome = bt_query(state, q, noise)
-    if outcome is BTOutcome.L:
+    if outcome is _L:
         return outcome, -1
-    if outcome is BTOutcome.R:
+    if outcome is _R:
         return outcome, 1
     return outcome, noise.coin()
 
@@ -320,12 +331,13 @@ def run(
         x = adversary.next_query(history, adv_noise)
         q = generator.vote(x)
         outcome, label = answer_query(bt_state, q, mech_noise)
-        entry = {"round": j, "x": list(x), "outcome": outcome.value, "label": label, "q": q}
+        # _value_ is the plain attribute behind the slower enum property .value
+        entry = {"round": j, "x": list(x), "outcome": outcome._value_, "label": label, "q": q}
         report.rounds.append(entry)
         history.append((x, label))
         if target is not None and target.label(x) != label:
             report.wrong_predictions += 1
-        if outcome is BTOutcome.TOP:
+        if outcome is _TOP:
             ledger.append(spec.bt_eps, spec.bt_delta)
             report.top_count += 1
             info = generator.on_top(x, label, full_queries)

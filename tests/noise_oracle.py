@@ -1,0 +1,31 @@
+"""Scalar reference for the noise primitives of ``NoiseSource``.
+
+These are ``uniform`` and ``coin`` as they were before the source drew its
+noise in blocks: one scalar ``Generator.random()`` call per double.  The
+buffered source must hand out bit-identical values in the same order,
+including the rejection of a 0.0 draw, which consumes the next double.
+"""
+
+from __future__ import annotations
+
+from privpredict.core import NEGATIVE, POSITIVE, NoiseSource
+
+
+class ScalarNoise(NoiseSource):
+    """A source that draws each double with its own scalar ``random()`` call.
+
+    It reads the generator directly, so structural draws stay allowed after
+    noise draws, as they were for the scalar source.
+    """
+
+    def child(self, index: int) -> "ScalarNoise":
+        return ScalarNoise(self.seed, self._spawn_key + (int(index),))
+
+    def uniform(self) -> float:
+        u = float(self._generator().random())
+        while u <= 0.0:
+            u = float(self._generator().random())
+        return u
+
+    def coin(self) -> int:
+        return POSITIVE if self._generator().random() >= 0.5 else NEGATIVE

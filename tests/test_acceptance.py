@@ -189,7 +189,7 @@ def test_acceptance_04_bt_accuracy():
         if trial % 2 == 0:
             stream = boundary
         else:
-            stream = ns.rng.uniform(0.0, 1.0, size=t_rounds).tolist()
+            stream = [ns.uniform() for _ in range(t_rounds)]
         violated = False
         for q in stream:
             if state.halted:

@@ -103,3 +103,54 @@ def test_every_hook_but_the_listed_ones_sees_a_call(tracing):
     finally:
         patches.restore()
     assert {name for name, count in calls.items() if count == 0} == NEVER_CALLED
+
+
+COUNTED = ("dp.bt_query_calls", "dp.bt_init_calls", "dp.laplace_calls", "dp.top_frac")
+
+
+def _counted(tracing, tracer):
+    """The tracer's counted dp.* metrics, as totals over everything it saw."""
+    from collections import Counter
+
+    metrics = tracing.layer_metrics(tracer, 1, Counter(), None, 1.0, 0.0)
+    return {name: metrics[name] for name in COUNTED}
+
+
+def _expected(rounds, instances, tops):
+    return dict(zip(COUNTED, (rounds, instances, rounds + instances, tops / rounds)))
+
+
+def test_tracer_counts_one_bt_query_per_round_and_one_laplace_per_draw(tracing):
+    """dp.bt_query_calls, dp.laplace_calls and dp.top_frac count what happened:
+    one BetweenThresholds query per transcript round, one Laplace draw per
+    query plus one per instance.  A rewrite of the noise path that bypasses
+    the traced names shows up here instead of as a silently wrong metric."""
+    from privpredict import harness
+
+    workloads = importlib.import_module("workloads").WORKLOADS
+    cfg = harness.ExperimentConfig(seed=0, **dict(workloads["oblivious-sweep"].config,
+                                                  t_rounds=256, heldout=100))
+    patches = tracing.Patches()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(patches)
+        _, payload = harness.run_trial(cfg, 0)
+    finally:
+        patches.restore()
+    rounds, tops = len(payload["rounds"]), payload["top_count"]
+    assert rounds == cfg.t_rounds and tops > 0
+    assert _counted(tracing, tracer) == _expected(rounds, 1 + tops - payload["aborted"], tops)
+
+    patches = tracing.Patches()
+    tracer, clock = tracing.Tracer(), tracing.AnswerClock()
+    try:
+        clock.install(patches)  # keeps every audit transcript's output
+        tracer.install(patches)
+        harness.run_audit(1000, 7)
+    finally:
+        patches.restore()
+    transcripts = sum(clock.outputs.values())
+    rounds = sum(len(labels) * n for (labels, _, _), n in clock.outputs.items())
+    tops = sum(n for (_, _, halted), n in clock.outputs.items() if halted)
+    assert transcripts == 2000 and 0 < tops < transcripts
+    assert _counted(tracing, tracer) == _expected(rounds, transcripts, tops)

@@ -1,9 +1,15 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privpredict.core import (
+    NEGATIVE,
+    POSITIVE,
     AtomDistribution,
+    BoxDistribution,
     ConfigurationError,
     GridDistribution,
     LabeledSample,
@@ -126,3 +132,29 @@ def test_labeled_sample_validation():
             LabeledSample(((1.0,), (2.0,)), (1, bad))
     with pytest.raises(ConfigurationError):
         LabeledSample(((1.0,),), (1, -1))
+
+
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_box_label_on_the_target_boundary(d, seed):
+    """The target normal is an array made once; each label must still equal
+    the dot product of the two tuples, bit for bit, on points placed exactly on
+    the boundary and one ulp to either side of it."""
+    rng = np.random.default_rng(seed)
+    normal = tuple(rng.standard_normal(d).tolist())
+    on = tuple(rng.uniform(-1.0, 1.0, d).tolist())
+    offset = float(np.dot(normal, on))
+    dist = BoxDistribution((-1.0,) * d, (1.0,) * d, normal, offset)
+    assert dist.label(on) == POSITIVE
+    for direction in (-2.0, 2.0):
+        for i in range(d):
+            near = on[:i] + (math.nextafter(on[i], direction),) + on[i + 1:]
+            want = POSITIVE if float(np.dot(normal, near)) >= offset else NEGATIVE
+            assert dist.label(near) == want
+
+
+def test_box_label_exact_boundary_examples():
+    dist = BoxDistribution((0.0, 0.0), (4.0, 4.0), (0.5, 0.25), 1.0)
+    assert dist.label((1.0, 2.0)) == POSITIVE  # 0.5 + 0.5 == 1.0 exactly
+    assert dist.label((0.0, math.nextafter(4.0, 0.0))) == NEGATIVE  # 1 - 2**-53
+    assert dist.labels([(2.0, 0.0), (0.0, 4.0), (0.0, 3.5)]) == (POSITIVE, POSITIVE, NEGATIVE)

@@ -252,6 +252,7 @@ def test_cli_plan_output(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["k"] == 28230
+    assert payload["bt_beta_unclamped"] == payload["bt_beta"] and payload["vacuous"] is False
     rc_bad = main(["plan", "--mode", "oblivious", "--d", "1", "--T", "16",
                    "--alpha", "0.1", "--beta", "0.1", "--eps", "1", "--delta", "1e-6"])
     assert rc_bad == 1

@@ -102,6 +102,24 @@ def test_plan_budgeted_splits_budget():
     assert all(600 % c != 0 for c in range(k_min, plan.k))
 
 
+def test_plan_budgeted_reports_its_clamp():
+    """Both acceptance configurations sit at the 0.5 clamp; the plan says so."""
+    plan = plan_budgeted(1024, 600, 8.0, 1e-2)
+    assert plan.k == 40 and plan.bt_beta == 0.5
+    assert plan.bt_beta_unclamped == pytest.approx(1025.0 * math.exp(-5.0), rel=1e-12)
+    assert plan.bt_beta_unclamped == pytest.approx(6.906, abs=5e-4)
+    assert plan.vacuous
+    loose = plan_budgeted(16, 5000, 8.0, 1e-2)  # k=40 again, now below the clamp
+    assert loose.k == 40 and not loose.vacuous
+    assert loose.bt_beta == loose.bt_beta_unclamped == 17.0 * math.exp(-5.0)
+
+
+def test_closed_form_plans_are_never_vacuous():
+    for plan in (plan_oblivious(1, 2**10, 0.1, 0.1, 1.0, 1e-6),
+                 plan_halfspace(2, 2**10, 0.1, 0.1, 1.0, 1e-6)):
+        assert plan.bt_beta_unclamped == plan.bt_beta and not plan.vacuous
+
+
 def test_plan_budgeted_infeasible():
     with pytest.raises(PlanningError):
         plan_budgeted(1024, 34, 8.0, 1e-2)  # no admissible divisor above the gap floor

@@ -142,7 +142,7 @@ def test_grid_labels_match_pointwise_label(size, n, seed, data):
 def test_noise_generator_is_built_on_first_use():
     parent = NoiseSource(5)
     child = parent.child(2).child(0)
-    assert "rng" not in vars(parent)
+    assert "_rng" not in vars(parent)
     expected = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(2, 0))).random(4)
     assert np.array_equal(child.rng.random(4), expected)
-    assert "rng" in vars(child) and "rng" not in vars(parent)
+    assert "_rng" in vars(child) and "_rng" not in vars(parent)
