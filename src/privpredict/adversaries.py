@@ -1,14 +1,13 @@
 """Query-stream generators: offline/oblivious fixed lists, stochastic draws, and
-adaptive strategies that read only the public (point, label) transcript.
+an adaptive boundary probe that reads only the public (point, label) transcript.
 
-Adaptive adversaries are pure functions of the public history plus their own
-noise source, so feeding them anything beyond (x, Label) pairs is impossible
-by construction.
+The adaptive adversary is a pure function of the public history plus its own
+noise source, so feeding it anything beyond (x, Label) pairs is impossible by
+construction.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,71 +66,15 @@ class StochasticAdversary:
         return None
 
 
-class _IncrementalHistory:
-    """Replay helper: deterministic state as a function of the consumed history.
-
-    State is advanced incrementally while calls see the same history growing by
-    appends; any prefix mismatch or shrink triggers a full replay, so the query
-    stream stays a pure function of the (point, label) pairs.
-    """
-
-    def _reset(self) -> None:
-        raise NotImplementedError
-
-    def _consume(self, pair: tuple[Point, int]) -> None:
-        raise NotImplementedError
-
-    def _sync(self, history: History) -> None:
-        if len(history) < self._seen or (
-            self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
-        ):
-            self._reset()
-            self._seen = 0
-            self._last_pair = None
-        for i in range(self._seen, len(history)):
-            self._consume(history[i])
-        self._seen = len(history)
-        if history:
-            self._last_pair = tuple(history[-1])
-
-
-class BisectionAdversary(_IncrementalHistory):
-    """Adaptive threshold hunter: maintain an interval, always query its midpoint.
-
-    A +1 answer moves the upper end down to the midpoint, a -1 answer moves the
-    lower end just above it.
-    """
-
-    def __init__(self, low: int, high: int):
-        self.low = int(low)
-        self.high = int(high)
-        self._seen = 0
-        self._last_pair = None
-        self._reset()
-
-    def _reset(self) -> None:
-        self._lo, self._hi = self.low, self.high
-
-    def _consume(self, pair) -> None:
-        _, label = pair
-        mid = (self._lo + self._hi) // 2
-        if label == POSITIVE:
-            self._hi = mid
-        else:
-            self._lo = min(mid + 1, self._hi)
-
-    def next_query(self, history: History, noise: NoiseSource) -> Point:
-        self._sync(history)
-        return (float((self._lo + self._hi) // 2),)
-
-    def disclose(self) -> tuple[Point, ...] | None:
-        return None
-
-
-class BoundaryProbeAdversary(_IncrementalHistory):
+class BoundaryProbeAdversary:
     """Adaptive halfspace stressor: fit a running boundary estimate by perceptron
     updates on the observed (point, label) pairs, then query at distance tau from
-    it, alternating sides."""
+    it, alternating sides.
+
+    The weights are advanced incrementally while calls see the same history
+    growing by appends; any prefix mismatch or shrink triggers a full replay, so
+    the query stream stays a pure function of the (point, label) pairs.
+    """
 
     def __init__(self, low, high, tau: float):
         self.low = tuple(float(c) for c in low)
@@ -139,19 +82,24 @@ class BoundaryProbeAdversary(_IncrementalHistory):
         self.tau = float(tau)
         self._lo_arr = np.asarray(self.low)
         self._span = np.asarray(self.high) - self._lo_arr
+        self._w = np.zeros(len(self.low) + 1)
         self._seen = 0
         self._last_pair = None
-        self._reset()
 
-    def _reset(self) -> None:
-        self._w = np.zeros(len(self.low) + 1)
-
-    def _consume(self, pair) -> None:
-        x, label = pair
-        lifted = np.asarray(tuple(x) + (-1.0,))
-        predicted = POSITIVE if float(self._w @ lifted) >= 0.0 else -POSITIVE
-        if predicted != label:
-            self._w = self._w + label * lifted
+    def _sync(self, history: History) -> None:
+        if len(history) < self._seen or (
+            self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
+        ):
+            self._w = np.zeros(len(self.low) + 1)
+            self._seen = 0
+        for x, label in history[self._seen:]:
+            lifted = np.asarray(tuple(x) + (-1.0,))
+            predicted = POSITIVE if float(self._w @ lifted) >= 0.0 else -POSITIVE
+            if predicted != label:
+                self._w = self._w + label * lifted
+        self._seen = len(history)
+        if history:
+            self._last_pair = tuple(history[-1])
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
         self._sync(history)
@@ -173,19 +121,6 @@ class BoundaryProbeAdversary(_IncrementalHistory):
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None
-
-
-def load_query_csv(path) -> list[Point]:
-    """Fixed query list from CSV, one point per row."""
-    points: list[Point] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            points.append(tuple(float(v) for v in row))
-    if not points:
-        raise ConfigurationError(f"no query points found in {path}")
-    return points
 
 
 def van_der_corput_queries(count: int, grid_size: int) -> list[Point]:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .core import ConfigurationError, PlanningError
-from .harness import AuditToy, ExperimentConfig, run_audit, run_experiment
+from .harness import ExperimentConfig, run_audit, run_experiment
 from .planner import plan_halfspace, plan_oblivious
+
+AUDIT_SEED = 7
+AUDIT_SLACK = 0.3  # eps_hat may exceed the budget by this much before the audit fails
 
 
 def _cmd_run(args) -> int:
@@ -24,9 +26,6 @@ def _cmd_run(args) -> int:
         overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
-    env_seed = os.environ.get("PREDICT_SEED")
-    if env_seed is not None:
-        overrides["seed"] = int(env_seed)
     if overrides:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
     result = run_experiment(cfg)
@@ -65,29 +64,16 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    payload = {}
-    if args.config:
-        with open(args.config) as fh:
-            payload = json.load(fh)
-    trials = args.trials or payload.get("trials", 200_000)
-    seed = payload.get("seed", 7)
-    env_seed = os.environ.get("PREDICT_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    broken = args.broken or payload.get("broken", False)
-    slack = payload.get("slack", 0.3)
-    toy_keys = {f for f in AuditToy.__dataclass_fields__}
-    toy = AuditToy(**{k: v for k, v in payload.items() if k in toy_keys})
-    report, budget_eps, budget_delta = run_audit(trials, seed, broken=broken, toy=toy)
-    verdict = "WITHIN BUDGET" if report.eps_hat <= budget_eps + slack else "EXCEEDS BUDGET"
-    print(f"variant     : {'broken (halved noise)' if broken else 'honest'}")
-    print(f"trials/side : {trials}")
+    report, budget_eps, budget_delta = run_audit(args.trials, AUDIT_SEED, broken=args.broken)
+    within = report.eps_hat <= budget_eps + AUDIT_SLACK
+    print(f"variant     : {'broken (halved noise)' if args.broken else 'honest'}")
+    print(f"trials/side : {args.trials}")
     print(f"budget      : eps={budget_eps:.4f} delta={budget_delta:.3g}")
     eps_txt = "inf" if math.isinf(report.eps_hat) else f"{report.eps_hat:.4f}"
-    print(f"eps_hat     : {eps_txt} ({verdict})")
+    print(f"eps_hat     : {eps_txt} ({'WITHIN BUDGET' if within else 'EXCEEDS BUDGET'})")
     for ev in report.worst_events(3):
         print(f"  event {ev.name}: eps_hat={ev.eps_hat:.4f} freqs=({ev.freq_a:.5f}, {ev.freq_b:.5f})")
-    return 0 if report.eps_hat <= budget_eps + slack else 1
+    return 0 if within else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.set_defaults(func=_cmd_plan)
 
     p_audit = sub.add_parser("audit", help="empirical privacy audit of the toy channel")
-    p_audit.add_argument("--config")
-    p_audit.add_argument("--trials", type=int)
+    p_audit.add_argument("--trials", type=int, default=200_000)
     p_audit.add_argument("--broken", action="store_true")
     p_audit.set_defaults(func=_cmd_audit)
     return parser

@@ -15,12 +15,9 @@ import numpy as np
 
 from . import planner
 from .adversaries import (
-    BisectionAdversary,
     BoundaryProbeAdversary,
-    ObliviousAdversary,
     OfflineAdversary,
     StochasticAdversary,
-    load_query_csv,
     van_der_corput_queries,
 )
 from .concepts import (
@@ -75,11 +72,8 @@ class ExperimentConfig:
     seed: int = 0
     alpha: float = 0.1
     beta: float = 0.1
-    eps: float = 1.0
-    delta: float = 1e-6
     d: int = 2
     domain_size: int = 2**14
-    threshold: int = 0  # 0 means the grid midpoint
     concept_file: str = ""
     k: int = 0  # 0 means derive from n_budget
     m: int = 0
@@ -87,10 +81,8 @@ class ExperimentConfig:
     bt_eps: float = 8.0
     bt_delta: float = 1e-3
     v_max: int = 0  # 0 means the generator default
-    adversary: str = "auto"
     adversary_tau: float = 0.0  # 0 means 2*alpha*diameter
     heldout: int = 0
-    sphere_samples: int = 64
     workers: int = 1
     out_dir: str = "runs-out"
     record_timing: bool = False
@@ -101,6 +93,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.t_rounds < 0 or self.trials < 1:
             raise ConfigurationError("need t_rounds >= 0 and trials >= 1")
+        for gate in self.gates:
+            _check_gate(gate)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,6 +127,20 @@ class ExperimentConfig:
         raise ConfigurationError("config needs either explicit (k, m) or an n_budget")
 
 
+def _check_gate(gate) -> None:
+    """Gates come from config files: reject one that evaluate_gates could not read."""
+    if not isinstance(gate, dict) or gate.get("column") not in CSV_COLUMNS:
+        raise ConfigurationError(f"a gate needs a column of {CSV_COLUMNS}, got {gate!r}")
+    extra = set(gate) - {"column", "max", "fraction"}
+    if extra:
+        raise ConfigurationError(f"unknown gate keys: {sorted(extra)}")
+    if not isinstance(gate.get("max"), (int, float)):
+        raise ConfigurationError(f"gate on {gate['column']!r} needs a numeric max")
+    fraction = gate.get("fraction", 1.0)
+    if not (isinstance(fraction, (int, float)) and 0 < fraction <= 1):
+        raise ConfigurationError(f"gate fraction must lie in (0, 1], got {fraction!r}")
+
+
 def _build_distribution(cfg: ExperimentConfig, noise: NoiseSource):
     if cfg.mode in ("oblivious", "stochastic-baseline"):
         if cfg.concept_file:
@@ -141,7 +149,7 @@ def _build_distribution(cfg: ExperimentConfig, noise: NoiseSource):
             target = concept.patterns[int(noise.rng.integers(len(concept.patterns)))]
             labels = tuple(int(v) for v in target)
             return AtomDistribution(concept.points, probs, labels), concept
-        threshold = cfg.threshold or cfg.domain_size // 2 + 1
+        threshold = cfg.domain_size // 2 + 1
         return GridDistribution(cfg.domain_size, threshold), ThresholdClass(cfg.domain_size)
     lo = tuple(-1.0 for _ in range(cfg.d))
     hi = tuple(1.0 for _ in range(cfg.d))
@@ -151,30 +159,19 @@ def _build_distribution(cfg: ExperimentConfig, noise: NoiseSource):
     return BoxDistribution(lo, hi, tuple(float(c) for c in direction), offset), None
 
 
-def _build_adversary(cfg: ExperimentConfig, dist, noise: NoiseSource):
-    kind = cfg.adversary
-    if kind == "auto":
-        kind = {"oblivious": "grid-sweep", "halfspace": "boundary-probe",
-                "stochastic-baseline": "stochastic"}[cfg.mode]
-        if kind == "grid-sweep" and isinstance(dist, AtomDistribution):
-            kind = "atom-sweep"
-    if kind == "grid-sweep":
-        points = van_der_corput_queries(cfg.t_rounds, cfg.domain_size) if cfg.t_rounds else []
-        return OfflineAdversary(tuple(points))
-    if kind == "atom-sweep":
-        atoms = dist.atoms
-        points = tuple(atoms[i % len(atoms)] for i in range(cfg.t_rounds))
-        return OfflineAdversary(points)
-    if kind == "stochastic":
-        return StochasticAdversary(dist)
-    if kind == "bisection":
-        return BisectionAdversary(1, cfg.domain_size)
-    if kind == "boundary-probe":
+def _build_adversary(cfg: ExperimentConfig, dist):
+    """The mode's query stream: a boundary probe against halfspaces, i.i.d. draws
+    for the stochastic baseline, and otherwise a sweep of the atoms or the grid."""
+    if cfg.mode == "halfspace":
         tau = cfg.adversary_tau or 2.0 * cfg.alpha * dist.diameter
         return BoundaryProbeAdversary(dist.low, dist.high, tau)
-    if kind.startswith("csv:"):
-        return ObliviousAdversary(tuple(load_query_csv(kind[4:])))
-    raise ConfigurationError(f"unknown adversary kind {kind!r}")
+    if cfg.mode == "stochastic-baseline":
+        return StochasticAdversary(dist)
+    if isinstance(dist, AtomDistribution):
+        atoms = dist.atoms
+        return OfflineAdversary(tuple(atoms[i % len(atoms)] for i in range(cfg.t_rounds)))
+    points = van_der_corput_queries(cfg.t_rounds, cfg.domain_size) if cfg.t_rounds else []
+    return OfflineAdversary(tuple(points))
 
 
 def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
@@ -198,7 +195,6 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
         bt_eps=cfg.bt_eps,
         bt_delta=cfg.bt_delta,
         v_max=v_max,
-        sphere_samples=cfg.sphere_samples,
     )
 
 
@@ -213,6 +209,8 @@ def hypotheses_from_payload(payload: dict, concept=None) -> list:
             if concept is None:
                 raise ConfigurationError("enumerated hypotheses need their concept class")
             out.append(concept.hypothesis(entry["index"]))
+        else:
+            raise ConfigurationError(f"unknown hypothesis kind {entry['kind']!r}")
     return out
 
 
@@ -234,7 +232,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[dict, dict]:
     root = NoiseSource(trial_seed)
     spec = build_run_spec(cfg)
     dist, concept = _build_distribution(cfg, root.child(3))
-    adversary = _build_adversary(cfg, dist, root.child(3))
+    adversary = _build_adversary(cfg, dist)
     sample = draw_sample(dist, spec.k * spec.m, root.child(2))
     started = time.perf_counter()
     report = run(
@@ -424,9 +422,9 @@ class AuditToy:
         return first_top_events(self.t_rounds) + label_prefix_events(4)
 
 
-def run_audit(trials: int, seed: int, broken: bool = False, toy: AuditToy | None = None):
+def run_audit(trials: int, seed: int, broken: bool = False):
     """Audit the toy's transcript channel; returns (report, budget_eps, budget_delta)."""
-    toy = toy or AuditToy()
+    toy = AuditToy()
     sample, neighbor = toy.samples()
     mech = toy.mechanism(scale_factor=0.5 if broken else 1.0)
     report = audit_dp(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PlanningError, PreconditionError
-from .dp import BTParams
+from .dp import BTParams, required_threshold_gap
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,9 @@ def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> Plan
     """
     if n_budget < 2:
         raise PlanningError("budget must cover at least two records")
-    k_min = math.ceil((48.0 / bt_eps) * (math.log(10.0 / bt_eps) + math.log(1.0 / bt_delta) + 1.0))
-    k_min = max(k_min, 1)
+    # the required gap scales as 1/k: the least k the default vote thresholds admit
+    gap = BTParams.t_upper - BTParams.t_lower
+    k_min = max(math.ceil(required_threshold_gap(bt_eps, bt_delta, 1) / gap), 1)
     k = next((c for c in range(k_min, n_budget + 1) if n_budget % c == 0), None)
     if k is None:
         raise PlanningError(

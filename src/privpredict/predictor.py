@@ -65,19 +65,9 @@ class RunSpec:
     bt_eps: float
     bt_delta: float
     v_max: int
-    t_lower: float = BTParams.t_lower
-    t_upper: float = BTParams.t_upper
-    sphere_samples: int = 64
 
     def bt_params(self) -> BTParams:
-        return BTParams(
-            eps=self.bt_eps,
-            delta=self.bt_delta,
-            n=self.k,
-            t_lower=self.t_lower,
-            t_upper=self.t_upper,
-            max_queries=self.t_rounds,
-        )
+        return BTParams(eps=self.bt_eps, delta=self.bt_delta, n=self.k, max_queries=self.t_rounds)
 
 
 def answer_query(state: BTState, q: float, noise: NoiseSource) -> tuple[BTOutcome, int]:
@@ -168,10 +158,9 @@ class _HalfspaceGenerator:
     """Shared feasible subspace + per-block constraint stacks; all blocks refit to
     their depth argmax in one batched kernel pass."""
 
-    def __init__(self, d: int, blocks: list[LabeledSample], sphere_samples: int):
+    def __init__(self, d: int, blocks: list[LabeledSample]):
         self.d = d
         self.blocks = blocks
-        self.sphere_samples = sphere_samples
         self.space = geometry.FeasibleSubspace.full(d + 1)
         self.normals = np.array(
             [[geometry.to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
@@ -183,8 +172,7 @@ class _HalfspaceGenerator:
         self.degenerate = False
 
     def refresh(self) -> list[int]:
-        points, depths = geometry.argmax_cdepth_blocks(self.normals, self.space,
-                                                       self.sphere_samples)
+        points, depths = geometry.argmax_cdepth_blocks(self.normals, self.space)
         norms = geometry.row_norms(points)[:, None]
         self._weights = np.divide(points, norms, out=points, where=norms > 0)
         self._values = depths.tolist()
@@ -300,7 +288,7 @@ def run(
             raise ConfigurationError("oblivious runs need a concept class")
         generator = _ObliviousGenerator(concept, blocks)
     elif spec.generator == "halfspace":
-        generator = _HalfspaceGenerator(sample.dimension, blocks, spec.sphere_samples)
+        generator = _HalfspaceGenerator(sample.dimension, blocks)
     else:
         raise ConfigurationError(f"unknown generator {spec.generator!r}")
 

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from adversary_oracle import BoundaryProbeOracle
 from privpredict.adversaries import (
-    BisectionAdversary,
     BoundaryProbeAdversary,
     ObliviousAdversary,
     OfflineAdversary,
     StochasticAdversary,
-    load_query_csv,
     van_der_corput_queries,
 )
 from privpredict.core import AtomDistribution, NoiseSource, StreamExhausted
@@ -46,29 +44,18 @@ def test_obliviousness_across_predictors():
     assert flip == agree
 
 
-def test_bisection_hand_simulation():
-    adv = BisectionAdversary(1, 16)
-    ns = NoiseSource(0)
-    history = []
-    queries = []
-    for _ in range(4):
-        x = adv.next_query(history, ns)
-        queries.append(int(x[0]))
-        history.append((x, 1))
-    assert queries == [8, 4, 2, 1]
-
-
-def test_bisection_restart_resets_state():
-    adv = BisectionAdversary(1, 16)
+def test_boundary_probe_restart_resets_state():
+    adv = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
     ns = NoiseSource(0)
     h1 = []
     x = adv.next_query(h1, ns)
-    h1.append((x, 1))
+    h1.append((x, -1))
     adv.next_query(h1, ns)
     # a fresh, different history must replay from scratch
-    h2 = [((8.0,), -1)]
-    x2 = adv.next_query(h2, ns)
-    assert x2 == BisectionAdversary(1, 16).next_query(h2, ns)
+    h2 = [((0.5, 0.25), -1), ((-0.25, 0.5), 1)]
+    x2 = adv.next_query(h2, NoiseSource(5))
+    fresh = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
+    assert x2 == fresh.next_query(h2, NoiseSource(5))
 
 
 def test_stochastic_point_mass_constant():
@@ -146,12 +133,6 @@ def test_boundary_probe_clips_to_the_box():
         x = adv.next_query(pairs[:j], ns)
         assert 0.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 0.0
     assert 0.0 in x or 1.0 in x or -1.0 in x  # tau far exceeds the box: the probe was clipped
-
-
-def test_load_query_csv(tmp_path):
-    path = tmp_path / "queries.csv"
-    path.write_text("1.5,2.5\n3.0,4.0\n")
-    assert load_query_csv(path) == [(1.5, 2.5), (3.0, 4.0)]
 
 
 def test_van_der_corput_properties():

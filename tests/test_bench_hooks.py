@@ -57,8 +57,7 @@ NEVER_CALLED = {
     # the audit toy answers through predictor.answer_query, which resolves
     # predictor.bt_query
     "harness.bt_query",
-    # no workload streams queries from these adversaries
-    "BisectionAdversary.next_query",
+    # no workload streams queries from this adversary
     "StochasticAdversary.next_query",
 }
 

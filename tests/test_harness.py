@@ -52,8 +52,9 @@ def test_config_roundtrip_and_digest(tmp_path):
     assert clone == cfg
     assert clone.digest() == cfg.digest()
     assert _small_config(tmp_path, seed=11).digest() != cfg.digest()
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict({"mode": "oblivious", "bogus_key": 1})
+    for key in ("bogus_key", "eps", "delta", "threshold", "sphere_samples", "adversary"):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig.from_dict({"mode": "oblivious", key: 1})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"mode": "no-such-mode"})
 
@@ -111,6 +112,24 @@ def test_gate_evaluation():
     assert not strict["passed"]
 
 
+@pytest.mark.parametrize("gate", [
+    {"column": "top_counts", "max": 3},
+    {"column": "top_count"},
+    {"column": "top_count", "max": "3"},
+    {"column": "top_count", "max": 3, "fraction": 0},
+    {"column": "top_count", "max": 3, "fraction": 1.5},
+    {"column": "top_count", "max": 3, "frac": 0.9},
+])
+def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
+    with pytest.raises(ConfigurationError):
+        _small_config(tmp_path, gates=[gate])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_small_config(tmp_path).to_dict(), "gates": [gate]}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_trial_heldout_and_payload(tmp_path):
     cfg = _small_config(tmp_path, heldout=2000)
     row, payload = run_trial(cfg, 0)
@@ -118,6 +137,9 @@ def test_run_trial_heldout_and_payload(tmp_path):
     assert row["seed"] == 10
     hyps = hypotheses_from_payload(payload)
     assert len(hyps) == 52
+    payload["final_hypotheses"].append({"kind": "polygon"})
+    with pytest.raises(ConfigurationError, match="polygon"):
+        hypotheses_from_payload(payload)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -234,11 +256,7 @@ def test_cli_run_and_gates(tmp_path, capsys):
 def test_cli_seed_override_env(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_small_config(tmp_path, trials=1).canonical_json())
-    os.environ["PREDICT_SEED"] = "77"
-    try:
-        assert main(["run", "--config", str(cfg_path)]) == 0
-    finally:
-        del os.environ["PREDICT_SEED"]
+    assert main(["run", "--config", str(cfg_path), "--seed", "77"]) == 0
     digest_dirs = os.listdir(tmp_path / "runs")
     found = []
     for d in digest_dirs:
@@ -277,7 +295,12 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
     stops = set()
     for scale_factor in (1.0, 0.5):
         mech = toy.mechanism(scale_factor)
-        spec = RunSpec(
+
+        class ToySpec(RunSpec):
+            def bt_params(self):  # the toy's widened vote thresholds
+                return toy.params(scale_factor)
+
+        spec = ToySpec(
             generator="oblivious",
             k=toy.k,
             m=1,
@@ -285,8 +308,6 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
             bt_eps=toy.bt_eps / scale_factor,
             bt_delta=toy.bt_delta,
             v_max=0,
-            t_lower=toy.t_lower,
-            t_upper=toy.t_upper,
         )
         for side, sample in enumerate(toy.samples()):
             for seed in range(60):

@@ -246,7 +246,7 @@ def test_halfspace_generator_base_case_and_hyperplane():
     labels = np.where(pts @ target[:2] - target[2] >= 0, 1, -1)
     sample = LabeledSample(tuple(map(tuple, pts)), tuple(int(v) for v in labels))
     blocks = [LabeledSample(sample.points[i::3], sample.labels[i::3]) for i in range(3)]
-    gen = _HalfspaceGenerator(2, blocks, sphere_samples=32)
+    gen = _HalfspaceGenerator(2, blocks)
     gen.refresh()
     assert gen.cdepth_values == [8, 8, 8]  # realizable: every constraint satisfiable
 
@@ -270,7 +270,7 @@ def test_halfspace_generator_base_case_and_hyperplane():
 def test_halfspace_generator_rejects_non_finite_points():
     blocks = [LabeledSample(((0.1, 0.2), (float("inf"), 0.0)), (1, -1))]
     with pytest.raises(ConfigurationError, match="finite"):
-        _HalfspaceGenerator(2, blocks, sphere_samples=8)
+        _HalfspaceGenerator(2, blocks)
 
 
 def test_halfspace_cdepth_progression():
