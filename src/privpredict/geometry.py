@@ -37,6 +37,7 @@ FEAS_TOL = 1e-12
 INDETERMINATE_TOL = 1e-6   # residuals in (FEAS_TOL, this) trigger the exact re-solve
 REDUNDANCY_TOL = 1e-9  # projections below this leave a subspace unchanged
 DEDUP_DECIMALS = 8
+RANK_TOL = 1e-10  # boundary subsets with smallest singular value at most this are skipped
 KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
 CANDIDATE_CAP = 20000  # candidate slots per block; more is a CapabilityError
 
@@ -314,12 +315,51 @@ def _check_cap(n: int, r: int, sphere_samples: int) -> int:
     return n_boundary + (sphere_samples if r > 1 else 0)
 
 
+def _null_directions(rows: np.ndarray) -> np.ndarray:
+    """The unit null vector of each stacked (r-1) x r matrix, or zero where the
+    matrix's smallest singular value is at most RANK_TOL.
+
+    For r <= 3 both come in closed form.  The direction is the perpendicular
+    (-a1, a0) of the one row a at r=2, the cross product a x b of the two rows
+    at r=3, scaled to unit length.  The smallest singular value is |a| at r=2;
+    at r=3 its square is 2 det G / (tr G + sqrt(tr^2 G - 4 det G)) for the
+    Gram matrix G of the rows, where det G = |a x b|^2.  Larger r take both
+    from one stacked SVD.  The sign of a direction is arbitrary.
+    """
+    r = rows.shape[-1]
+    if r > 3:
+        _, svals, vt = np.linalg.svd(rows)
+        return np.where(svals[..., -1:] > RANK_TOL, vt[..., -1, :], 0.0)
+    if r == 2:
+        a = rows[..., 0, :]
+        perp = np.stack([-a[..., 1], a[..., 0]], axis=-1)
+        square = np.einsum("...i,...i", perp, perp)
+        full = square > RANK_TOL**2
+    else:
+        a, b = rows[..., 0, :], rows[..., 1, :]
+        aa = np.einsum("...i,...i", a, a)
+        # b less its part along a has the same cross product with a, and keeps
+        # it accurate when the rows are nearly parallel
+        along = np.divide(np.einsum("...i,...i", a, b), aa, out=np.zeros_like(aa), where=aa > 0)
+        perp = np.cross(a, b - along[..., None] * a)
+        square = np.einsum("...i,...i", perp, perp)  # det G
+        trace = aa + np.einsum("...i,...i", b, b)
+        discriminant = np.sqrt(np.maximum(trace * trace - 4.0 * square, 0.0))
+        # sigma_min^2 > RANK_TOL^2, multiplied out so a zero matrix divides nothing
+        full = 2.0 * square > RANK_TOL**2 * (trace + discriminant)
+    norms = np.sqrt(square)[..., None]
+    return np.divide(perp, norms, out=np.zeros_like(perp), where=full[..., None])
+
+
 def _block_candidates(normals: np.ndarray, basis: np.ndarray,
                       sphere: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each block's deduplicated candidates, one block after another.
 
     ``normals`` is a (blocks, n, ambient) stack and ``sphere`` the lifted
-    unit sphere sample.  Returns the points and each block's count.
+    unit sphere sample.  Each (r-1)-subset of a block's projected normals
+    gives its boundary direction from ``_null_directions`` (closed form for
+    r <= 3, a stacked SVD above), as the pair +dir, -dir.  Returns the points
+    and each block's count.
     """
     k, n, ambient = normals.shape
     r = basis.shape[1]
@@ -329,10 +369,9 @@ def _block_candidates(normals: np.ndarray, basis: np.ndarray,
         subsets = np.array(list(combinations(range(n), r - 1)), dtype=np.intp)
         directions = np.zeros((k, len(subsets), r))
         if len(subsets):
-            _, svals, vt = np.linalg.svd(np.matmul(normals, basis)[:, subsets])
             # a rank-deficient subset's boundaries do not cut down to a line; its
             # zero direction lifts to a zero point, which is dropped below
-            directions = np.where(svals[..., -1:] > 1e-10, vt[..., -1, :], 0.0)
+            directions = _null_directions(np.matmul(normals, basis)[:, subsets])
         coeffs = np.stack([directions, -directions], axis=2).reshape(-1, r)
     boundary, nonzero = _unit_lift(basis, coeffs)
     points = np.concatenate([
@@ -397,12 +436,14 @@ def arrangement_candidates(
     the subspace (r its dimension) plus a deterministic quasi-uniform sphere
     sample, deduplicated to 1e-8.
 
-    The one-block case of the kernel behind ``argmax_cdepth_blocks``: a
-    stacked SVD over all (r-1)-subsets of the projected normals gives each
-    boundary direction as the pair +dir, -dir in subset order (rank-deficient
-    subsets are skipped), then the sphere draws follow.  Rows come back in
-    that order, and of points equal after rounding to DEDUP_DECIMALS the first
-    one is kept.  No candidates give shape (0,).
+    The one-block case of the kernel behind ``argmax_cdepth_blocks``: every
+    (r-1)-subset of the projected normals gives its boundary direction as the
+    pair +dir, -dir in subset order, then the sphere draws follow.  The
+    direction is the perpendicular of the one row at r=2, the cross product
+    of the two rows at r=3, and the null vector of a stacked SVD at r >= 4; a
+    subset whose smallest singular value is at most RANK_TOL is skipped.
+    Rows come back in that order, and of points equal after rounding to
+    DEDUP_DECIMALS the first one is kept.  No candidates give shape (0,).
     """
     r = subspace.dimension
     if r < 1:
@@ -441,7 +482,7 @@ def argmax_cdepth_blocks(
         return np.zeros((k, ambient)), np.full(k, n, dtype=np.intp)
     slots = _check_cap(n, r, sphere_samples)
     sphere = _lifted_sphere(subspace.basis, sphere_samples)
-    step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + r * r + 4 * ambient)))
+    step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + 4 * ambient)))
     points = np.empty((k, ambient))
     depths = np.empty(k, dtype=np.intp)
     for lo in range(0, k, step):

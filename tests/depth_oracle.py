@@ -2,8 +2,10 @@
 
 This is the per-subset, per-candidate loop that ``geometry.arrangement_candidates``
 and ``geometry.argmax_cdepth`` used before they were batched, kept verbatim as
-the oracle: the batched kernel must reproduce its candidate arrays, argmax point
-and depth bit for bit.
+the oracle.  It takes every boundary direction from an SVD; the kernel takes
+them in closed form for r <= 3.  So the kernel must reproduce its candidate
+counts, rank skips and depths exactly, and its points to 1e-12, with each
+boundary's (+dir, -dir) pair in either order (see ``tests/test_depth_kernel.py``).
 """
 
 from __future__ import annotations
