@@ -4,6 +4,7 @@ emission, CSV aggregation, statistical gates, and the transcript-channel audit."
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
@@ -174,6 +175,13 @@ def _build_adversary(cfg: ExperimentConfig, dist):
     return OfflineAdversary(tuple(points))
 
 
+@functools.lru_cache(maxsize=8)
+def _class_vc_dimension(path: str, content: bytes) -> int:
+    """The VC dimension of a concept file's class.  The search is brute force,
+    so it runs once per file path and content in a process, not per trial."""
+    return load_enumerated_class(path).vc_dimension()
+
+
 def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
     k, m = cfg.resolve_plan()
     generator = "halfspace" if cfg.mode == "halfspace" else "oblivious"
@@ -183,7 +191,7 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
         if generator == "halfspace":
             vc = cfg.d + 1
         elif cfg.concept_file:
-            vc = load_enumerated_class(cfg.concept_file).vc_dimension()
+            vc = _class_vc_dimension(cfg.concept_file, Path(cfg.concept_file).read_bytes())
         else:
             vc = 1
         v_max = default_v_max(generator, vc, cfg.t_rounds, cfg.beta)

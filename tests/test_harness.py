@@ -205,6 +205,39 @@ def test_default_v_max_uses_the_enumerated_class_vc_dimension(tmp_path):
     assert harness.build_run_spec(halfspace).v_max == 5
 
 
+def test_enumerated_vc_dimension_is_searched_once_per_class_file(tmp_path, monkeypatch):
+    import itertools
+
+    from privpredict.concepts import EnumeratedClass
+
+    cls_path = tmp_path / "cls.json"
+    patterns = [list(p) for p in itertools.product((-1, 1), repeat=5)]
+    cls_path.write_text(json.dumps({"points": [1, 2, 3, 4, 5], "patterns": patterns}))
+    cfg = _small_config(tmp_path, concept_file=str(cls_path), t_rounds=64, trials=2)
+    searches, specs = [], []
+    search = EnumeratedClass.vc_dimension
+
+    def counted_search(self):
+        searches.append(self)
+        return search(self)
+
+    def spy(spec, *args, **kwargs):
+        specs.append(spec)
+        return run(spec, *args, **kwargs)
+
+    monkeypatch.setattr(EnumeratedClass, "vc_dimension", counted_search)
+    monkeypatch.setattr(harness, "run", spy)
+    for trial in range(cfg.trials):
+        run_trial(cfg, trial)
+    assert len(searches) == 1
+    assert [s.v_max for s in specs] == [predictor.default_v_max("oblivious", 5, 64, cfg.beta)] * 2
+    # a rewritten file is searched again: the cache is keyed by content too
+    cls_path.write_text(json.dumps({"points": [1, 2], "patterns": [[1, 1], [-1, 1]]}))
+    v_max = predictor.default_v_max("oblivious", 1, 64, cfg.beta)
+    assert harness.build_run_spec(cfg).v_max == v_max
+    assert len(searches) == 2
+
+
 def test_stochastic_baseline_mode(tmp_path):
     cfg = _small_config(tmp_path, mode="stochastic-baseline", trials=1)
     row, payload = run_trial(cfg, 0)
