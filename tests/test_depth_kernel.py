@@ -164,7 +164,10 @@ def test_sphere_sample_is_built_once_and_read_only():
     r=st.integers(2, 4),
     count=st.integers(1, 30),
     kind=st.sampled_from(["gaussian", "integral", "near-rank-deficient"]),
-    scale=st.integers(-12, 4),
+    # both sides compute the smallest singular value with an absolute error of
+    # about 1e-16 times the largest; above 1e2 that error alone reaches the
+    # 1e-3 band around RANK_TOL, and the two decisions are equally arbitrary
+    scale=st.integers(-12, 2),
 )
 @settings(max_examples=200, deadline=None)
 def test_null_directions_match_svd(seed, r, count, kind, scale):
