@@ -80,40 +80,52 @@ class BoundaryProbeAdversary:
         self.low = tuple(float(c) for c in low)
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
-        self._lo_arr = np.asarray(self.low)
-        self._span = np.asarray(self.high) - self._lo_arr
-        self._w = np.zeros(len(self.low) + 1)
+        self._span = [hi - lo for lo, hi in zip(self.low, self.high)]
+        self._set_weights(np.zeros(len(self.low) + 1))
         self._seen = 0
         self._last_pair = None
+
+    def _set_weights(self, w: np.ndarray) -> None:
+        """Take new weights and the boundary quantities every query reads."""
+        self._w = w
+        self._normal = w[:-1]
+        self._normal_list = self._normal.tolist()
+        # np.linalg.norm's own formula
+        self._norm = math.sqrt(float(np.dot(self._normal, self._normal)))
+        self._offset = float(w[-1])
 
     def _sync(self, history: History) -> None:
         if len(history) < self._seen or (
             self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
         ):
-            self._w = np.zeros(len(self.low) + 1)
+            self._set_weights(np.zeros(len(self.low) + 1))
             self._seen = 0
+        w = self._w
         for x, label in history[self._seen:]:
             lifted = np.asarray(tuple(x) + (-1.0,))
-            predicted = POSITIVE if float(self._w @ lifted) >= 0.0 else -POSITIVE
+            predicted = POSITIVE if float(w @ lifted) >= 0.0 else -POSITIVE
             if predicted != label:
-                self._w = self._w + label * lifted
+                w = w + label * lifted
+        if w is not self._w:
+            self._set_weights(w)
         self._seen = len(history)
         if history:
             self._last_pair = tuple(history[-1])
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
         self._sync(history)
-        # what rng.uniform(low, high) computes, at the same stream position,
-        # without its checks on array arguments
-        base = self._lo_arr + self._span * noise.rng.random(len(self.low))
-        normal = self._w[:-1]
-        norm = math.sqrt(float(np.dot(normal, normal)))  # np.linalg.norm's own formula
+        # rng.uniform(low, high) at the same stream position: lo + span*u is
+        # the same two IEEE operations in Python floats as in numpy
+        base = [lo + span * u
+                for lo, span, u in zip(self.low, self._span, noise.doubles(len(self.low)))]
+        norm = self._norm
         if norm == 0.0:
-            return tuple(base.tolist())
-        shift = (float(np.dot(normal, base)) - float(self._w[-1])) / norm**2
+            return tuple(base)
+        # numpy's dot, not a Python sum: BLAS may fuse its multiply-adds
+        shift = (float(self._normal.dot(base)) - self._offset) / norm**2
         step = (1.0 if len(history) % 2 == 0 else -1.0) * self.tau
         probe = []
-        for b, a, lo, hi in zip(base.tolist(), normal.tolist(), self.low, self.high):
+        for b, a, lo, hi in zip(base, self._normal_list, self.low, self.high):
             c = b - shift * a + step * a / norm  # on the boundary, then tau off it
             c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie
             probe.append(c if c < hi else hi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,11 @@ BLOCK_CAP = 256  # blocks double in size up to this many doubles
 class NoiseSource:
     """Seeded randomness: identical seeds produce identical streams.
 
-    Noise primitives (``uniform``, ``coin``) and structural randomness
-    (shuffles, data sampling) draw from one seeded generator.  Instances are
-    single-owner: derive one child per concurrent task with ``child``.  The
-    generator is built on first use, so a source that only hands out children
-    costs no generator of its own.
+    Noise primitives (``uniform``, ``coin``, ``doubles``) and structural
+    randomness (shuffles, data sampling) draw from one seeded generator.
+    Instances are single-owner: derive one child per concurrent task with
+    ``child``.  The generator is built on first use, so a source that only
+    hands out children costs no generator of its own.
 
     Draw contract: structural draws (``rng``, ``permutation``) come first,
     noise draws after them.  Noise draws are taken from blocks of doubles
@@ -60,7 +61,8 @@ class NoiseSource:
     at ``FIRST_BLOCK`` doubles and double up to ``BLOCK_CAP``.  They hand out
     the very doubles that one scalar ``random()`` per draw would, but leave the
     generator ahead of the draws handed out, so a structural draw after the
-    first noise draw raises ``UsageError``.
+    first noise draw raises ``UsageError``.  ``doubles`` is a noise draw under
+    this contract too.
     """
 
     # class-level defaults, so that __init__ and child do no work
@@ -119,6 +121,15 @@ class NoiseSource:
     def coin(self) -> int:
         """Uniform label in {-1, +1}."""
         return POSITIVE if self._double() >= 0.5 else NEGATIVE
+
+    def doubles(self, n: int) -> list[float]:
+        """The next ``n`` doubles in [0, 1), as ``Generator.random(n)`` gives
+        them: unlike ``uniform``, a 0.0 is handed out, not rejected."""
+        out = list(itertools.islice(self._draws, n))
+        while len(out) < n:
+            out.append(self._refill())
+            out += itertools.islice(self._draws, n - len(out))
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         return self.rng.permutation(n)

@@ -37,6 +37,7 @@ FEAS_TOL = 1e-12
 INDETERMINATE_TOL = 1e-6   # residuals in (FEAS_TOL, this) trigger the exact re-solve
 REDUNDANCY_TOL = 1e-9  # projections below this leave a subspace unchanged
 DEDUP_DECIMALS = 8
+_DEDUP_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the dedup hash
 RANK_TOL = 1e-10  # boundary subsets with smallest singular value at most this are skipped
 KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
 CANDIDATE_CAP = 20000  # candidate slots per block; more is a CapabilityError
@@ -383,9 +384,34 @@ def _block_candidates(normals: np.ndarray, basis: np.ndarray,
         np.ones((k, len(sphere)), dtype=bool),
     ], axis=1).ravel()
     blocks = np.repeat(np.arange(k), len(keep) // k)[keep]
-    points = points[keep]
-    # first occurrence of each (block, rounded point): a stable sort keeps equal
-    # keys in input order
+    return _first_occurrences(points[keep], blocks, k)
+
+
+def _first_occurrences(points: np.ndarray, blocks: np.ndarray,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of the unit points of a block that are equal after rounding to
+    DEDUP_DECIMALS, the first; returns the kept points in input order and each
+    block's count.
+
+    np.round divides rint(x * 10**DEDUP_DECIMALS) back down, so points equal
+    after rounding have equal integers here (-0.0 included), and so equal
+    hashes of block and integers.  When all hashes differ nothing is dropped;
+    otherwise ``_first_occurrences_sorted`` decides.
+    """
+    scaled = np.rint(points * 10.0**DEDUP_DECIMALS).astype(np.int64).view(np.uint64)
+    key = blocks.astype(np.uint64)
+    for column in scaled.T:
+        key = key * _DEDUP_MIX + column  # wraps modulo 2**64
+    key.sort()
+    if (key[1:] != key[:-1]).all():
+        return points, np.bincount(blocks, minlength=k)
+    return _first_occurrences_sorted(points, blocks, k)
+
+
+def _first_occurrences_sorted(points: np.ndarray, blocks: np.ndarray,
+                              k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_occurrences`` by one stable lexsort of (block, rounded point),
+    which keeps equal keys in input order."""
     rounded = np.round(points, DEDUP_DECIMALS)
     order = np.lexsort((*rounded.T[::-1], blocks))
     rounded, sorted_blocks = rounded[order], blocks[order]

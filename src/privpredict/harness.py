@@ -341,7 +341,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AuditToy:
     """A small thresholds ensemble whose public transcript is audited.
 
@@ -354,16 +353,16 @@ class AuditToy:
     budget small enough for an empirical audit to say anything at all.
     """
 
-    k: int = 16
-    t_rounds: int = 32
-    probe_rounds: int = 4
-    bt_eps: float = 6.25
-    bt_delta: float = 0.003
-    t_lower: float = 1.0 / 16.0
-    t_upper: float = 0.95
-    domain: int = 64
-    probe_x: float = 16.0
-    filler_x: float = 64.0
+    k = 16
+    t_rounds = 32
+    probe_rounds = 4
+    bt_eps = 6.25
+    bt_delta = 0.003
+    t_lower = 1.0 / 16.0
+    t_upper = 0.95
+    domain = 64
+    probe_x = 16.0
+    filler_x = 64.0
 
     def stream(self) -> list[tuple[float, ...]]:
         probes = [(self.probe_x,)] * self.probe_rounds

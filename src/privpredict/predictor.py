@@ -162,9 +162,12 @@ class _HalfspaceGenerator:
         self.d = d
         self.blocks = blocks
         self.space = geometry.FeasibleSubspace.full(d + 1)
-        self.normals = np.array(
-            [[geometry.to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
-        ).reshape(len(blocks), -1, d + 1)
+        # lab * (x, -1), as geometry.to_constraint forms it; a product with
+        # +-1.0 is exact
+        points = np.array([blk.points for blk in blocks], dtype=float).reshape(len(blocks), -1, d)
+        labels = np.array([blk.labels for blk in blocks], dtype=float)
+        lifted = np.concatenate([points, np.full((*points.shape[:2], 1), -1.0)], axis=2)
+        self.normals = labels[:, :, None] * lifted
         if not np.all(np.isfinite(self.normals)):
             raise ConfigurationError("constraint normals must be finite")
         self._weights: np.ndarray | None = None

@@ -1,9 +1,10 @@
 """Scalar reference for the noise primitives of ``NoiseSource``.
 
-These are ``uniform`` and ``coin`` as they were before the source drew its
-noise in blocks: one scalar ``Generator.random()`` call per double.  The
-buffered source must hand out bit-identical values in the same order,
-including the rejection of a 0.0 draw, which consumes the next double.
+These are ``uniform``, ``coin`` and ``doubles`` with one scalar
+``Generator.random()`` call per double, as before the source drew its noise
+in blocks.  The buffered source must hand out bit-identical values in the
+same order, including the rejection of a 0.0 draw by ``uniform``, which
+consumes the next double, and its return by ``doubles``.
 """
 
 from __future__ import annotations
@@ -29,3 +30,6 @@ class ScalarNoise(NoiseSource):
 
     def coin(self) -> int:
         return POSITIVE if self._generator().random() >= 0.5 else NEGATIVE
+
+    def doubles(self, n: int) -> list[float]:
+        return [float(self._generator().random()) for _ in range(n)]

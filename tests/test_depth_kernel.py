@@ -330,6 +330,81 @@ def test_cap_error_comes_first_and_is_unchanged():
         geometry.argmax_cdepth(profile, space, 64)
 
 
+# --- the dedup precheck: the lexsort runs only where two candidates may be equal ---
+
+
+def _dedup_calls(patch) -> list[dict]:
+    """Patch in spies that record each ``_first_occurrences`` call's inputs and
+    result, and whether it went on to the lexsort."""
+    calls = []
+    first, first_sorted = geometry._first_occurrences, geometry._first_occurrences_sorted
+
+    def sorted_spy(*args):
+        calls[-1]["sorted"] = True
+        return first_sorted(*args)
+
+    def spy(points, blocks, k):
+        calls.append({"args": (points.copy(), blocks.copy(), k), "sorted": False})
+        calls[-1]["result"] = first(points, blocks, k)
+        return calls[-1]["result"]
+
+    patch.setattr(geometry, "_first_occurrences", spy)
+    patch.setattr(geometry, "_first_occurrences_sorted", sorted_spy)
+    return calls
+
+
+def _assert_dedup_matches_the_lexsort(normals, space, sphere) -> dict:
+    """One ``_block_candidates`` call: its points and counts bit-equal to the
+    lexsort run alone on the same candidates.  Returns the recorded call."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _dedup_calls(patch)
+        geometry._block_candidates(normals, space.basis, geometry._lifted_sphere(space.basis, sphere))
+    (call,) = calls
+    (points, counts), (want_points, want_counts) = \
+        call["result"], geometry._first_occurrences_sorted(*call["args"])
+    assert _same_bits(points, want_points) and _same_bits(counts, want_counts)
+    if len(want_points) < len(call["args"][0]):
+        assert call["sorted"]
+    return call
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    ambient=st.integers(2, 4),
+    codim=st.integers(0, 2),
+    n=st.integers(0, 16),
+    copies=st.integers(0, 6),
+    integral=st.booleans(),
+    sphere=st.sampled_from([0, 8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_dedup_precheck_matches_the_lexsort(seed, k, ambient, codim, n, copies, integral, sphere):
+    """Duplicated, parallel and integral normals give equal candidates, which
+    take the lexsort; Gaussian normals give none and keep every candidate."""
+    r = max(1, ambient - codim)
+    normals, space = _block_stack(seed, k, ambient, r, n, copies, integral)
+    call = _assert_dedup_matches_the_lexsort(normals, space, sphere)
+    if copies == 0 and not integral:
+        assert not call["sorted"]
+
+
+def test_dedup_precheck_takes_both_branches():
+    space = FeasibleSubspace.full(3)
+    gaussian = np.random.default_rng(3).standard_normal((2, 6, 3))
+    assert not _assert_dedup_matches_the_lexsort(gaussian, space, 8)["sorted"]
+    parallel = gaussian.copy()
+    parallel[1, 4] = -2.5 * parallel[1, 0]
+    call = _assert_dedup_matches_the_lexsort(parallel, space, 8)
+    assert call["sorted"] and len(call["result"][0]) < len(call["args"][0])
+
+
+def test_acceptance_halfspace_trial_takes_the_fast_dedup_branch(monkeypatch):
+    calls = _dedup_calls(monkeypatch)
+    run_trial(_halfspace_config(), 0)
+    assert calls and not any(call["sorted"] for call in calls)
+
+
 # --- whole runs: the batched kernel and block error against the scalar ones ---
 
 

@@ -3,7 +3,8 @@ in ``noise_oracle.py``, plus the draw contract (structural draws first) and
 the zero-noise fake.
 
 Agreement is exact: the same doubles, outcomes and labels, compared bit for
-bit, including a 0.0 draw placed inside a block or as a block's last double.
+bit, including a 0.0 draw placed inside a block or as a block's last double,
+which ``uniform`` rejects and ``doubles`` hands out.
 """
 
 import itertools
@@ -72,6 +73,8 @@ def replay(noise: NoiseSource, ops) -> list:
             out.append(noise.uniform().hex())
         elif op == "coin":
             out.append(noise.coin())
+        elif op == "doubles":
+            out.append([u.hex() for u in noise.doubles(q)])
         elif op == "bt_init" or state is None or state.halted:
             state = bt_init(PARAMS, noise)
             out.append((state.noisy_lower.hex(), state.noisy_upper.hex()))
@@ -83,7 +86,8 @@ def replay(noise: NoiseSource, ops) -> list:
 
 OPS = st.lists(
     st.tuples(st.sampled_from(["uniform", "coin", "bt_init", "answer_query"]),
-              st.floats(0.0, 1.0)),
+              st.floats(0.0, 1.0))
+    | st.tuples(st.just("doubles"), st.integers(0, BLOCK_CAP + 3)),  # (op, count)
     max_size=300,
 )
 
@@ -99,14 +103,17 @@ def test_buffered_draws_match_scalar_oracle(seed, key, ops, zeros, fake):
     assert replay(buffered, ops) == replay(scalar, ops)
 
 
-@pytest.mark.parametrize("zeros", [
+ZERO_PLACES = [
     {1},                                      # inside the first block
     {FIRST_BLOCK - 1},                        # the first block's last double
     {FIRST_BLOCK},                            # the second block's first double
     {FIRST_BLOCK - 1, FIRST_BLOCK},           # a rejection that crosses the edge twice
     set(range(FIRST_BLOCK)),                  # a whole block rejected
     set(block_ends(8)),                       # the last double of every block, past the cap
-])
+]
+
+
+@pytest.mark.parametrize("zeros", ZERO_PLACES)
 def test_zero_draw_consumes_the_next_double(zeros):
     count = sum(itertools.islice(block_sizes(), 8)) + 5
     raw = ZeroAt(3, zeros).random(count).tolist()
@@ -116,6 +123,18 @@ def test_zero_draw_consumes_the_next_double(zeros):
     drawn = [buffered.uniform() for _ in expected]
     assert [u.hex() for u in drawn] == [u.hex() for u in expected]
     assert [scalar.uniform() for _ in expected] == drawn
+
+
+@pytest.mark.parametrize("zeros", ZERO_PLACES)
+def test_doubles_hand_out_a_zero_draw(zeros):
+    count = sum(itertools.islice(block_sizes(), 8)) + 5
+    raw = ZeroAt(3, zeros).random(count).tolist()
+    buffered = NoiseSource(0)
+    buffered._rng = ZeroAt(3, zeros)
+    # one draw, then a block's worth across the edge, then the rest past the cap
+    drawn = buffered.doubles(1) + buffered.doubles(FIRST_BLOCK) + buffered.doubles(count - 5)
+    assert [u.hex() for u in drawn] == [u.hex() for u in raw]
+    assert 0.0 in drawn
 
 
 def test_coin_takes_a_zero_draw_as_negative():
@@ -143,6 +162,7 @@ def test_new_sources_and_children_do_no_work():
 
 
 @pytest.mark.parametrize("draw", [NoiseSource.uniform, NoiseSource.coin,
+                                  lambda ns: ns.doubles(1),
                                   lambda ns: laplace(1.0, ns), lambda ns: bt_init(PARAMS, ns)])
 def test_structural_draw_after_a_noise_draw_raises(draw):
     source = NoiseSource(11)

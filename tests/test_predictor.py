@@ -18,6 +18,7 @@ from privpredict.core import (
 )
 from privpredict import predictor
 from privpredict.dp import PrivacyLedger, compose_advanced
+from privpredict.geometry import to_constraint
 from privpredict.predictor import (
     RunSpec,
     _HalfspaceGenerator,
@@ -247,6 +248,8 @@ def test_halfspace_generator_base_case_and_hyperplane():
     sample = LabeledSample(tuple(map(tuple, pts)), tuple(int(v) for v in labels))
     blocks = [LabeledSample(sample.points[i::3], sample.labels[i::3]) for i in range(3)]
     gen = _HalfspaceGenerator(2, blocks)
+    stacked = [[to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
+    assert gen.normals.tobytes() == np.array(stacked).tobytes()
     gen.refresh()
     assert gen.cdepth_values == [8, 8, 8]  # realizable: every constraint satisfiable
 
