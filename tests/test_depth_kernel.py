@@ -358,7 +358,8 @@ def _assert_dedup_matches_the_lexsort(normals, space, sphere) -> dict:
     lexsort run alone on the same candidates.  Returns the recorded call."""
     with pytest.MonkeyPatch.context() as patch:
         calls = _dedup_calls(patch)
-        geometry._block_candidates(normals, space.basis, geometry._lifted_sphere(space.basis, sphere))
+        geometry._block_candidates(normals, space.basis,
+                                   geometry._lifted_sphere(space.basis, sphere))
     (call,) = calls
     (points, counts), (want_points, want_counts) = \
         call["result"], geometry._first_occurrences_sorted(*call["args"])

@@ -132,7 +132,8 @@ def test_doubles_hand_out_a_zero_draw(zeros):
     buffered = NoiseSource(0)
     buffered._rng = ZeroAt(3, zeros)
     # one draw, then a block's worth across the edge, then the rest past the cap
-    drawn = buffered.doubles(1) + buffered.doubles(FIRST_BLOCK) + buffered.doubles(count - 5)
+    sizes = (1, FIRST_BLOCK, count - 1 - FIRST_BLOCK)
+    drawn = [u for size in sizes for u in buffered.doubles(size)]
     assert [u.hex() for u in drawn] == [u.hex() for u in raw]
     assert 0.0 in drawn
 
