@@ -21,8 +21,6 @@ from .core import (
 )
 from .concepts import (
     EnumeratedClass,
-    HalfspaceClass,
-    HalfspaceHypothesis,
     ThresholdClass,
     ThresholdHypothesis,
     VersionSpace,

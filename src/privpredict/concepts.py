@@ -1,9 +1,16 @@
 """Concept classes and version spaces: evaluation, ERM, restriction by labeled
-constraints, and label-pattern counting over fixed query tuples.
+constraints, and label-pattern counting over fixed query tuples; and the block
+ensembles that vote.
 
-Three families are supported: integer-grid thresholds, finite enumerated
-classes, and halfspaces.  Version spaces are kept intensionally as constraint
-lists; only enumerated classes materialize their hypothesis set.
+Two classes are supported: integer-grid thresholds and finite enumerated
+classes.  Version spaces are kept intensionally as constraint lists; only
+enumerated classes materialize their hypothesis set.  Halfspace blocks are fit
+by ``geometry.argmax_cdepth_blocks`` and vote as a ``HalfspaceEnsemble``.
+
+An ensemble is the k block hypotheses of one refresh.  Each ensemble type has
+``vote(x)``, the number of blocks that label x +1; ``votes(points)``, those
+counts for many points; ``labels(points)``, the (k x n) array of +/-1 labels;
+and ``payload()``, the report's ``final_hypotheses``.
 """
 
 from __future__ import annotations
@@ -57,62 +64,7 @@ class EnumeratedHypothesis:
             raise UsageError(f"point {p!r} is outside the enumerated class's domain") from None
 
 
-@dataclass(frozen=True)
-class HalfspaceHypothesis:
-    """Sign of <a, x> - w for weights (a_1..a_d, w); the bias is the last coordinate.
-
-    Weights are unit-normalized at construction (halfspace signs are scale
-    invariant).  The all-zero vector is kept as the documented degenerate
-    hypothesis that evaluates +1 everywhere (0 >= 0).
-    """
-
-    weights: tuple[float, ...]
-
-    @staticmethod
-    def from_vector(vec) -> "HalfspaceHypothesis":
-        v = np.asarray(vec, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm > 0:
-            v = v / norm
-        return HalfspaceHypothesis(tuple(float(c) for c in v))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return all(c == 0.0 for c in self.weights)
-
-    def evaluate(self, p: Point) -> int:
-        if len(p) != len(self.weights) - 1:
-            raise UsageError("halfspace weight dimension does not match the point")
-        value = float(np.dot(self.weights[:-1], p)) - self.weights[-1]
-        return POSITIVE if value >= 0.0 else NEGATIVE
-
-
-Hypothesis = ThresholdHypothesis | EnumeratedHypothesis | HalfspaceHypothesis
-
-
-def evaluate_many(hypotheses, points) -> np.ndarray:
-    """(hypotheses x points) array of +/-1 labels, entry for entry ``h.evaluate(p)``.
-
-    Thresholds compare ``x >= t``.  Halfspaces take each <a, x> as a stacked
-    (1 x d) @ (d x 1) matmul, which runs the same dot kernel as ``evaluate``
-    (a ``points @ a`` matrix-vector product rounds differently).  Any other
-    mix of hypotheses is evaluated one point at a time.
-    """
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-    if all(isinstance(h, ThresholdHypothesis) for h in hypotheses):
-        if pts.shape[1] != 1:
-            raise UsageError("threshold hypotheses act on 1-dimensional points")
-        thresholds = np.array([h.threshold for h in hypotheses])
-        positive = pts[None, :, 0] >= thresholds[:, None]
-    elif all(isinstance(h, HalfspaceHypothesis) for h in hypotheses):
-        weights = np.array([h.weights for h in hypotheses])
-        if pts.shape[1] != weights.shape[1] - 1:
-            raise UsageError("halfspace weight dimension does not match the points")
-        dots = np.matmul(weights[:, None, None, :-1], pts[None, :, :, None])[:, :, 0, 0]
-        positive = dots - weights[:, -1:] >= 0.0
-    else:
-        return np.array([[h.evaluate(p) for p in points] for h in hypotheses], dtype=int)
-    return np.where(positive, POSITIVE, NEGATIVE)
+Hypothesis = ThresholdHypothesis | EnumeratedHypothesis
 
 
 class ThresholdBlocks:
@@ -307,30 +259,96 @@ class EnumeratedClass:
         return [self.hypothesis(int(i)) for i in self._surviving(constraints)]
 
 
-class HalfspaceClass:
-    """Halfspaces over R^d, parameterized by weight vectors in R^{d+1}.
+class ThresholdEnsemble:
+    """Block thresholds in block order; block i votes +1 at x iff x >= thresholds[i]."""
 
-    There is no ERM here: the halfspace generator fits its block hypotheses
-    with ``geometry.argmax_cdepth_blocks``.
+    def __init__(self, thresholds: list):
+        self.thresholds = thresholds
+        self._sorted = sorted(thresholds)
+
+    def __len__(self) -> int:
+        return len(self.thresholds)
+
+    def vote(self, x: Point) -> int:
+        return bisect.bisect_right(self._sorted, x[0])
+
+    def votes(self, points) -> np.ndarray:
+        xs = np.array([p[0] for p in points], dtype=float)
+        return np.searchsorted(np.array(self._sorted), xs, side="right")
+
+    def labels(self, points) -> np.ndarray:
+        xs = np.array([p[0] for p in points], dtype=float)
+        return np.where(xs[None, :] >= np.array(self.thresholds)[:, None], POSITIVE, NEGATIVE)
+
+    def payload(self) -> list[dict]:
+        return [{"kind": "threshold", "t": int(t)} for t in self.thresholds]
+
+
+class HalfspaceEnsemble:
+    """Block halfspaces as a (k, d+1) weight matrix W, one row (a, w) per block.
+
+    Block i votes +1 at x iff W[i] @ (x, -1) >= 0, so a zero row votes +1
+    everywhere.  The sign at a point on a block's boundary rests on the last
+    bits of the product, so every path takes it from the same matrix-vector
+    product: many points run as a stack of W @ (x, -1) products
+    (``lifted @ W.T`` is a matrix-matrix product and rounds differently).
     """
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ConfigurationError("halfspace dimension must be >= 1")
-        self.d = int(d)
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
 
-    def vc_dimension(self) -> int:
-        # Analytic value for d-dimensional halfspaces with bias; no search.
-        return self.d + 1
+    def __len__(self) -> int:
+        return len(self.weights)
 
-    def pattern_count(self, constraints, queries) -> int:
-        raise CapabilityError(
-            "label-pattern counting over continuous halfspaces is unsupported; "
-            "use thresholds or an enumerated class"
-        )
+    def vote(self, x: Point) -> int:
+        lifted = np.asarray(tuple(x) + (-1.0,))
+        return int(np.count_nonzero(self.weights @ lifted >= 0.0))
+
+    def _positive(self, points) -> np.ndarray:
+        """(n, k) mask of the +1 votes at each point."""
+        pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+        lifted = np.hstack([pts, np.full((len(pts), 1), -1.0)])
+        return np.matmul(self.weights, lifted[:, :, None])[:, :, 0] >= 0.0
+
+    def votes(self, points) -> np.ndarray:
+        return np.count_nonzero(self._positive(points), axis=1)
+
+    def labels(self, points) -> np.ndarray:
+        return np.where(self._positive(points).T, POSITIVE, NEGATIVE)
+
+    def payload(self) -> list[dict]:
+        return [{"kind": "halfspace", "weights": row} for row in self.weights.tolist()]
 
 
-ConceptClass = ThresholdClass | EnumeratedClass | HalfspaceClass
+class EnumeratedEnsemble:
+    """Rows of an enumerated class's pattern matrix, one per block, in block order."""
+
+    def __init__(self, concept: EnumeratedClass, rows: list[int]):
+        self.concept = concept
+        self.rows = rows
+        self._patterns = concept.patterns[rows]
+        self._counts = np.count_nonzero(self._patterns > 0, axis=0).tolist()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def vote(self, x: Point) -> int:
+        return self._counts[self.concept._col(x)]
+
+    def votes(self, points) -> np.ndarray:
+        return np.array([self.vote(p) for p in points])
+
+    def labels(self, points) -> np.ndarray:
+        return self._patterns[:, [self.concept._col(p) for p in points]]
+
+    def payload(self) -> list[dict]:
+        return [{"kind": "enumerated", "index": int(i)} for i in self.rows]
+
+
+Ensemble = ThresholdEnsemble | HalfspaceEnsemble | EnumeratedEnsemble
+
+
+ConceptClass = ThresholdClass | EnumeratedClass
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,7 @@ from .adversaries import (
     StochasticAdversary,
     van_der_corput_queries,
 )
-from .concepts import (
-    HalfspaceHypothesis,
-    ThresholdClass,
-    ThresholdHypothesis,
-    evaluate_many,
-    load_enumerated_class,
-)
+from .concepts import Ensemble, ThresholdClass, ThresholdEnsemble, load_enumerated_class
 from .core import (
     AtomDistribution,
     BoxDistribution,
@@ -206,31 +200,9 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
     )
 
 
-def hypotheses_from_payload(payload: dict, concept=None) -> list:
-    out = []
-    for entry in payload["final_hypotheses"]:
-        if entry["kind"] == "threshold":
-            out.append(ThresholdHypothesis(entry["t"]))
-        elif entry["kind"] == "halfspace":
-            out.append(HalfspaceHypothesis(tuple(entry["weights"])))
-        elif entry["kind"] == "enumerated":
-            if concept is None:
-                raise ConfigurationError("enumerated hypotheses need their concept class")
-            out.append(concept.hypothesis(entry["index"]))
-        else:
-            raise ConfigurationError(f"unknown hypothesis kind {entry['kind']!r}")
-    return out
-
-
-def majority_vote_error(hypotheses, sample: LabeledSample) -> float:
+def majority_vote_error(ensemble: Ensemble, sample: LabeledSample) -> float:
     """Heldout error of the sign of the ensemble's mean vote (ties count as +1)."""
-    if all(isinstance(h, ThresholdHypothesis) for h in hypotheses):
-        ts = np.sort([h.threshold for h in hypotheses])
-        xs = np.array([p[0] for p in sample.points])
-        votes = 2.0 * np.searchsorted(ts, xs, side="right") - len(hypotheses)
-    else:
-        votes = evaluate_many(hypotheses, sample.points).sum(axis=0)
-    predicted = np.where(votes >= 0, 1, -1)
+    predicted = np.where(2 * ensemble.votes(sample.points) >= len(ensemble), 1, -1)
     return float(np.mean(predicted != np.array(sample.labels)))
 
 
@@ -257,8 +229,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[dict, dict]:
     payload = report.to_payload()
     if cfg.heldout:
         fresh = draw_sample(dist, cfg.heldout, root.child(4))
-        hyps = hypotheses_from_payload(payload, concept)
-        payload["heldout_error"] = majority_vote_error(hyps, fresh)
+        payload["heldout_error"] = majority_vote_error(report.ensemble, fresh)
     row = {
         "seed": trial_seed,
         "top_count": report.top_count,
@@ -399,21 +370,25 @@ class AuditToy:
 
         Equivalent to the full loop with singleton blocks: the partition draw is
         consumed identically, vote counts are permutation invariant, and each
-        vote is answered by ``answer_query``, the step ``run`` uses.
+        vote is answered by ``answer_query``, the step ``run`` uses.  So the
+        vote counts of every round depend on the sample alone, and are
+        computed once per sample.
         """
         params = self.params(scale_factor)
-        xs = np.array([x[0] for x in self.stream()])
+        stream = self.stream()
         k = self.k
+        counts_of: dict[LabeledSample, list[int]] = {}
 
         def mech(sample: LabeledSample, noise: NoiseSource):
             mech_noise = noise.child(0)
             mech_noise.permutation(len(sample))
-            thresholds = np.sort(
-                [1.0 if lab > 0 else p[0] + 1.0 for p, lab in sample.records()]
-            )
-            # the vote counts of every round at once; nearly every transcript
-            # halts within its first few rounds, so a count is divided on use
-            counts = np.searchsorted(thresholds, xs, side="right").tolist()
+            counts = counts_of.get(sample)
+            if counts is None:
+                ensemble = ThresholdEnsemble(
+                    [1.0 if lab > 0 else p[0] + 1.0 for p, lab in sample.records()])
+                # nearly every transcript halts within its first few rounds,
+                # so a count is divided on use
+                counts = counts_of[sample] = ensemble.votes(stream).tolist()
             state = bt_init(params, mech_noise)
             labels: list[int] = []
             for j, count in enumerate(counts, 1):

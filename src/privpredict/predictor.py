@@ -9,7 +9,6 @@ for halfspaces under adaptive streams.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -19,14 +18,13 @@ import numpy as np
 from . import geometry
 from .concepts import (
     ConceptClass,
-    EnumeratedHypothesis,
-    HalfspaceHypothesis,
-    Hypothesis,
+    EnumeratedEnsemble,
+    Ensemble,
+    HalfspaceEnsemble,
     ThresholdBlocks,
     ThresholdClass,
-    ThresholdHypothesis,
+    ThresholdEnsemble,
     VersionSpace,
-    evaluate_many,
 )
 from .core import (
     ConfigurationError,
@@ -91,8 +89,7 @@ def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> in
 class _ObliviousGenerator:
     """Shared version space + per-block ERM; hypotheses change only on top rounds.
 
-    Threshold blocks are laid out once and refit in one batched ERM pass; the
-    vote then bisects the sorted thresholds.
+    Threshold blocks are laid out once and refit in one batched ERM pass.
     """
 
     def __init__(self, concept: ConceptClass, blocks: list[LabeledSample]):
@@ -102,23 +99,20 @@ class _ObliviousGenerator:
         self._threshold_blocks = (
             ThresholdBlocks(blocks, concept.size) if isinstance(concept, ThresholdClass) else None
         )
-        self._hypotheses: list[Hypothesis] | None = None
-        self._sorted_thresholds: list[int] | None = None
+        self._ensemble: Ensemble | None = None
         self.degenerate = False
 
-    def _erm(self) -> list[Hypothesis]:
+    def _erm(self) -> Ensemble:
         if self._threshold_blocks is None:
-            return [self.space.erm(block) for block in self.blocks]
-        thresholds = self.concept.erm_blocks(self.space.constraints, self._threshold_blocks)
-        self._sorted_thresholds = sorted(thresholds)
-        return [ThresholdHypothesis(t) for t in thresholds]
+            return EnumeratedEnsemble(self.concept, [self.space.erm(block).index for block in self.blocks])
+        return ThresholdEnsemble(self.concept.erm_blocks(self.space.constraints, self._threshold_blocks))
 
     def refresh(self) -> list[int]:
         """(Re)compute all block hypotheses; returns indices of dropped constraints."""
         dropped: list[int] = []
         while True:
             try:
-                self._hypotheses = self._erm()
+                self._ensemble = self._erm()
                 return dropped
             except EmptyVersionSpaceError:
                 if not self.space.constraints:
@@ -127,19 +121,16 @@ class _ObliviousGenerator:
                 self.space = self.space.drop_newest()
 
     def invalidate(self) -> None:
-        self._hypotheses = None
-        self._sorted_thresholds = None
+        self._ensemble = None
 
     @property
-    def hypotheses(self) -> list[Hypothesis]:
-        if self._hypotheses is None:
+    def ensemble(self) -> Ensemble:
+        if self._ensemble is None:
             raise UsageError("generator not refreshed")
-        return self._hypotheses
+        return self._ensemble
 
     def vote(self, x: Point) -> float:
-        if self._sorted_thresholds is not None:
-            return bisect.bisect_right(self._sorted_thresholds, x[0]) / len(self.blocks)
-        return int(np.count_nonzero(evaluate_many(self.hypotheses, [x]) > 0)) / len(self.blocks)
+        return self._ensemble.vote(x) / len(self.blocks)
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         before = self.space.pattern_count(full_queries) if full_queries else None
@@ -170,28 +161,28 @@ class _HalfspaceGenerator:
         self.normals = labels[:, :, None] * lifted
         if not np.all(np.isfinite(self.normals)):
             raise ConfigurationError("constraint normals must be finite")
-        self._weights: np.ndarray | None = None
+        self._ensemble: HalfspaceEnsemble | None = None
         self._values: list[int] | None = None
         self.degenerate = False
 
     def refresh(self) -> list[int]:
         points, depths = geometry.argmax_cdepth_blocks(self.normals, self.space)
         norms = geometry.row_norms(points)[:, None]
-        self._weights = np.divide(points, norms, out=points, where=norms > 0)
+        self._ensemble = HalfspaceEnsemble(np.divide(points, norms, out=points, where=norms > 0))
         self._values = depths.tolist()
         if self.space.dimension == 0:
             self.degenerate = True
         return []
 
     def invalidate(self) -> None:
-        self._weights = None
+        self._ensemble = None
         self._values = None
 
     @property
-    def hypotheses(self) -> list[HalfspaceHypothesis]:
-        if self._weights is None:
+    def ensemble(self) -> HalfspaceEnsemble:
+        if self._ensemble is None:
             raise UsageError("generator not refreshed")
-        return [HalfspaceHypothesis.from_vector(w) for w in self._weights]
+        return self._ensemble
 
     @property
     def cdepth_values(self) -> list[int]:
@@ -200,9 +191,7 @@ class _HalfspaceGenerator:
         return list(self._values)
 
     def vote(self, x: Point) -> float:
-        lifted = np.asarray(tuple(x) + (-1.0,))
-        positive = int(np.count_nonzero(self._weights @ lifted >= 0.0))
-        return positive / len(self.blocks)
+        return self._ensemble.vote(x) / len(self.blocks)
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         normal = np.asarray(tuple(x) + (-1.0,))
@@ -214,14 +203,6 @@ class _HalfspaceGenerator:
             "dim_after": int(self.space.dimension),
             "redundant": bool(redundant),
         }
-
-
-def _serialize_hypothesis(h: Hypothesis) -> dict[str, Any]:
-    if isinstance(h, ThresholdHypothesis):
-        return {"kind": "threshold", "t": int(h.threshold)}
-    if isinstance(h, EnumeratedHypothesis):
-        return {"kind": "enumerated", "index": int(h.index)}
-    return {"kind": "halfspace", "weights": [float(c) for c in h.weights]}
 
 
 @dataclass
@@ -244,6 +225,8 @@ class RunReport:
     final_hypotheses: list[dict[str, Any]] = field(default_factory=list)
     max_block_error: float = 0.0
     wrong_predictions: int = 0
+    # the final ensemble, which final_hypotheses describes; not in the payload
+    ensemble: Ensemble | None = field(default=None, repr=False, compare=False)
 
     def labels(self) -> list[int]:
         return [r["label"] for r in self.rounds]
@@ -257,7 +240,7 @@ class RunReport:
 
     def to_payload(self) -> dict[str, Any]:
         """The report as a JSON-ready dict; it shares its lists with the report."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ensemble"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
@@ -345,8 +328,8 @@ def run(
         refresh(spec.t_rounds + 1)
     report.degenerate = generator.degenerate
     report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
-    hypotheses = generator.hypotheses
-    report.final_hypotheses = [_serialize_hypothesis(h) for h in hypotheses]
-    wrong = (evaluate_many(hypotheses, sample.points) != np.asarray(sample.labels)).sum(axis=1)
+    report.ensemble = generator.ensemble
+    report.final_hypotheses = report.ensemble.payload()
+    wrong = (report.ensemble.labels(sample.points) != np.asarray(sample.labels)).sum(axis=1)
     report.max_block_error = int(wrong.max()) / len(sample)
     return report

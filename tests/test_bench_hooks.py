@@ -52,7 +52,8 @@ NEVER_CALLED = {
     "VersionSpace.erm",
     # run_trial serializes through to_payload; the JSON is built by the caller
     "RunReport.to_json",
-    # the block error is one evaluate_many count, not empirical_error
+    # the block error is one count over the ensemble's labels, not
+    # empirical_error
     "predictor.empirical_error",
     # the audit toy answers through predictor.answer_query, which resolves
     # predictor.bt_query

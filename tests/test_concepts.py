@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from privpredict.concepts import (
     EnumeratedClass,
-    HalfspaceClass,
-    HalfspaceHypothesis,
+    HalfspaceEnsemble,
     ThresholdClass,
     ThresholdHypothesis,
     VersionSpace,
     load_enumerated_class,
 )
 from privpredict.core import (
-    CapabilityError,
     EmptyVersionSpaceError,
     LabeledSample,
     UsageError,
@@ -36,11 +34,9 @@ def full_shatter_class(n_points):
 def test_evaluate_examples():
     assert ThresholdHypothesis(5).evaluate((7.0,)) == 1
     assert ThresholdHypothesis(5).evaluate((4.0,)) == -1
-    h = HalfspaceHypothesis.from_vector((1.0, 0.0, 0.0))
-    assert h.evaluate((-3.0, 9.0)) == -1
-    zero = HalfspaceHypothesis((0.0, 0.0, 0.0))
-    assert zero.evaluate((123.0, -9.0)) == 1
-    assert zero.is_degenerate
+    # the second row is zero, which votes +1 everywhere
+    halfspaces = HalfspaceEnsemble(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert halfspaces.labels([(-3.0, 9.0), (123.0, -9.0)]).tolist() == [[-1, 1], [1, 1]]
     with pytest.raises(UsageError):
         ThresholdHypothesis(5).evaluate((1.0, 2.0))
 
@@ -159,7 +155,6 @@ def _oracle_vc(patterns: np.ndarray) -> int:
 def test_vc_dimension_examples():
     assert ThresholdClass(100).vc_dimension() == 1
     assert full_shatter_class(3).vc_dimension() == 3
-    assert HalfspaceClass(2).vc_dimension() == 3
     rng = np.random.default_rng(7)
     patterns = np.unique(rng.choice((-1, 1), size=(10, 6)), axis=0)
     cls = EnumeratedClass([(float(i),) for i in range(6)], patterns)
@@ -200,11 +195,6 @@ def test_membership_coherence_with_constraints():
     for h in survivors:
         assert h.evaluate((2.0,)) == 1
         assert h.evaluate((3.0,)) == -1
-
-
-def test_halfspace_pattern_count_unsupported():
-    with pytest.raises(CapabilityError):
-        HalfspaceClass(2).pattern_count((), [(0.0, 0.0)])
 
 
 def test_enumerated_class_json_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
-"""The batched halfspace candidate/depth kernel against its scalar oracle, and
-the one-pass block error against ``empirical_error``.
+"""The batched halfspace candidate/depth kernel against its scalar oracle; the
+one-pass block error against ``empirical_error`` under the vote's rule; and the
+ensembles' ``vote``, ``votes`` and ``labels`` against per-point references.
 
 The kernel takes boundary directions in closed form for r <= 3, where the
 oracle runs an SVD, so the two agree in every count and depth but not in the
@@ -10,6 +11,7 @@ arbitrary).  Where both sides run the kernel (chunked against whole,
 multi-block against one block) the points agree bit for bit.
 """
 
+import dataclasses
 import json
 import math
 
@@ -23,13 +25,14 @@ import depth_oracle as oracle
 from privpredict import geometry, harness, predictor
 from privpredict.concepts import (
     EnumeratedClass,
-    HalfspaceHypothesis,
+    EnumeratedEnsemble,
+    HalfspaceEnsemble,
+    ThresholdEnsemble,
     ThresholdHypothesis,
-    evaluate_many,
 )
-from privpredict.core import CapabilityError, ConfigurationError, UsageError, empirical_error
+from privpredict.core import CapabilityError, ConfigurationError, empirical_error
 from privpredict.geometry import DepthProfile, FeasibleSubspace
-from privpredict.harness import ExperimentConfig, hypotheses_from_payload, run_trial
+from privpredict.harness import ExperimentConfig, run_trial
 
 
 POINT_TOL = 1e-12  # max-abs difference of kernel and oracle points
@@ -436,9 +439,32 @@ def _runs_with_samples(cfg, trials, monkeypatch):
     return [_canonical(*run_trial(cfg, i)) for i in trials], seen
 
 
+def _halfspace_vote(weights: np.ndarray, x) -> np.ndarray:
+    """The vote's rule at one point: +1 where a row of W @ (x, -1) is >= 0."""
+    return np.where(weights @ np.asarray(tuple(x) + (-1.0,)) >= 0.0, 1, -1)
+
+
+class _HalfspaceRow:
+    """Row i of a weight matrix as a scalar hypothesis under the vote's rule."""
+
+    def __init__(self, weights: np.ndarray, i: int):
+        self.weights, self.i = weights, i
+
+    def evaluate(self, p) -> int:
+        return int(_halfspace_vote(self.weights, p)[self.i])
+
+
+def _scalar_blocks(final_hypotheses) -> list:
+    """The payload's block hypotheses, each with a scalar ``evaluate``."""
+    if final_hypotheses[0]["kind"] == "threshold":
+        return [ThresholdHypothesis(h["t"]) for h in final_hypotheses]
+    weights = np.array([h["weights"] for h in final_hypotheses])
+    return [_HalfspaceRow(weights, i) for i in range(len(weights))]
+
+
 def _assert_block_error_matches_scalar(seen):
     for sample, report in seen:
-        hyps = hypotheses_from_payload({"final_hypotheses": report.final_hypotheses})
+        hyps = _scalar_blocks(report.final_hypotheses)
         assert report.max_block_error == max(empirical_error(h, sample) for h in hyps)
 
 
@@ -490,33 +516,73 @@ def test_oblivious_block_error_matches_empirical_error(monkeypatch):
     _assert_block_error_matches_scalar(seen)
 
 
-# --- evaluate_many: the ensemble labels every point as evaluate does ---
+# --- the ensemble: one vote rule for the vote, the block error and the payload ---
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
-@settings(max_examples=60, deadline=None)
-def test_evaluate_many_halfspaces_match_evaluate(seed, d):
-    rng = np.random.default_rng(seed)
-    hyps = [HalfspaceHypothesis.from_vector(rng.standard_normal(d + 1)) for _ in range(4)]
-    hyps.append(HalfspaceHypothesis.from_vector(np.zeros(d + 1)))  # degenerate: +1 everywhere
-    points = [tuple(rng.uniform(-1, 1, d)) for _ in range(20)]
-    a, w = np.asarray(hyps[0].weights[:-1]), hyps[0].weights[-1]
-    for x in rng.uniform(-1, 1, (20, d)):  # on hyps[0]'s boundary, where rounding decides
-        points.append(tuple(float(c) for c in x - (a @ x - w) * a / (a @ a)))
-    expected = [[h.evaluate(p) for p in points] for h in hyps]
-    assert np.array_equal(evaluate_many(hyps, points), expected)
+def _halfspace_adaptive_trial(seed: int, trial: int, monkeypatch):
+    """One trial of the halfspace-adaptive configuration: its sample and report."""
+    _, seen = _runs_with_samples(dataclasses.replace(_halfspace_config(), seed=seed),
+                                 (trial,), monkeypatch)
+    return seen[0]
 
 
-def test_evaluate_many_thresholds_and_enumerated():
-    thresholds = [ThresholdHypothesis(t) for t in (1, 5, 6, 11)]
-    points = [(float(x),) for x in range(0, 12)] + [(5.5,), (-3.0,)]
-    assert np.array_equal(evaluate_many(thresholds, points),
-                          [[h.evaluate(p) for p in points] for h in thresholds])
-    concept = EnumeratedClass([(0.0,), (1.0,), (2.0,)], [[1, -1, 1], [-1, -1, 1]])
-    hyps = concept.hypotheses()
-    points = [(2.0,), (0.0,), (1.0,), (0.0,)]
-    assert np.array_equal(evaluate_many(hyps, points), [[1, 1, -1, 1], [1, -1, -1, -1]])
-    with pytest.raises(UsageError):
-        evaluate_many(thresholds, [(1.0, 2.0)])
-    with pytest.raises(UsageError):
-        evaluate_many([HalfspaceHypothesis((1.0, 0.0, 0.0))], [(1.0,)])
+def test_payload_weights_are_the_rows_that_voted(monkeypatch):
+    # the payload used to renormalize the unit rows that voted, and in this
+    # trial that moved their last bits
+    _, report = _halfspace_adaptive_trial(1000, 3, monkeypatch)
+    weights = np.array([h["weights"] for h in report.final_hypotheses])
+    assert _same_bits(weights, report.ensemble.weights)
+    last_top = report.top_rounds[-1]["round"]
+    after = [r for r in report.rounds if r["round"] > last_top]
+    assert after and all(r["q"] == report.ensemble.vote(r["x"]) / len(weights) for r in after)
+
+
+def test_block_error_takes_the_vote_s_rule(monkeypatch):
+    # dot(a, x) - w put a sample point on the other side of its block's
+    # boundary than the vote puts it, and reported 0.09833
+    sample, report = _halfspace_adaptive_trial(5000, 20, monkeypatch)
+    assert report.max_block_error == 0.1
+    _assert_block_error_matches_scalar([(sample, report)])
+
+
+def _threshold_case(rng):
+    thresholds = rng.integers(-2, 12, size=rng.integers(1, 8)).tolist()
+    points = [(float(x),) for x in rng.integers(-3, 14, size=10)]
+    points += [(float(x),) for x in rng.uniform(-3, 14, size=10)]
+    expected = [[ThresholdHypothesis(t).evaluate(p) for p in points] for t in thresholds]
+    return ThresholdEnsemble(thresholds), points, expected
+
+
+def _halfspace_case(rng):
+    d = int(rng.integers(1, 6))
+    weights = rng.standard_normal((int(rng.integers(1, 6)), d + 1))
+    weights /= np.linalg.norm(weights, axis=1)[:, None]
+    weights = np.vstack([weights, np.zeros(d + 1)])  # a zero row votes +1 everywhere
+    a, w = weights[0, :-1], weights[0, -1]
+    points = [tuple(x) for x in rng.uniform(-1, 1, (10, d)).tolist()]
+    for x in rng.uniform(-1, 1, (20, d)):  # on row 0's boundary, where rounding decides
+        points.append(tuple((x - (a @ x - w) * a / (a @ a)).tolist()))
+    expected = np.array([_halfspace_vote(weights, p) for p in points]).T
+    return HalfspaceEnsemble(weights), points, expected
+
+
+def _enumerated_case(rng):
+    domain = [(float(i), float(i % 2)) for i in range(int(rng.integers(1, 5)))]
+    patterns = np.unique(rng.choice((-1, 1), size=(8, len(domain))), axis=0)
+    concept = EnumeratedClass(domain, patterns)
+    rows = rng.integers(0, len(patterns), size=rng.integers(1, 8)).tolist()
+    points = [domain[i] for i in rng.integers(0, len(domain), size=12)]
+    expected = [[concept.hypothesis(r).evaluate(p) for p in points] for r in rows]
+    return EnumeratedEnsemble(concept, rows), points, expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from([_threshold_case, _halfspace_case,
+                                                              _enumerated_case]))
+@settings(max_examples=90, deadline=None)
+def test_ensemble_vote_votes_and_labels_match_scalar_reference(seed, case):
+    ensemble, points, expected = case(np.random.default_rng(seed))
+    expected = np.asarray(expected)
+    assert np.array_equal(ensemble.labels(points), expected)
+    assert np.array_equal(ensemble.votes(points), (expected > 0).sum(axis=0))
+    for x in points:
+        assert ensemble.vote(x) == ensemble.votes([x])[0] == (ensemble.labels([x]) > 0).sum()

@@ -7,7 +7,7 @@ import pytest
 
 from privpredict import harness, predictor
 from privpredict.cli import main
-from privpredict.concepts import HalfspaceHypothesis, ThresholdHypothesis
+from privpredict.concepts import HalfspaceEnsemble, ThresholdEnsemble, ThresholdHypothesis
 from privpredict.core import (
     ConfigurationError,
     GridDistribution,
@@ -20,7 +20,6 @@ from privpredict.harness import (
     AuditToy,
     ExperimentConfig,
     evaluate_gates,
-    hypotheses_from_payload,
     majority_vote_error,
     run_experiment,
     run_trial,
@@ -135,11 +134,7 @@ def test_run_trial_heldout_and_payload(tmp_path):
     row, payload = run_trial(cfg, 0)
     assert 0.0 <= payload["heldout_error"] <= 1.0
     assert row["seed"] == 10
-    hyps = hypotheses_from_payload(payload)
-    assert len(hyps) == 52
-    payload["final_hypotheses"].append({"kind": "polygon"})
-    with pytest.raises(ConfigurationError, match="polygon"):
-        hypotheses_from_payload(payload)
+    assert len(payload["final_hypotheses"]) == 52
 
 
 @pytest.mark.parametrize("overrides", [
@@ -249,7 +244,7 @@ def test_majority_vote_error_matches_direct_count():
     dist = GridDistribution(256, 100)
     fresh = draw_sample(dist, 500, NoiseSource(4))
     hyps = [ThresholdHypothesis(t) for t in (80, 100, 120)]
-    fast = majority_vote_error(hyps, fresh)
+    fast = majority_vote_error(ThresholdEnsemble([80, 100, 120]), fresh)
     direct = 0
     for p, lab in fresh.records():
         votes = sum(h.evaluate(p) for h in hyps)
@@ -258,18 +253,20 @@ def test_majority_vote_error_matches_direct_count():
 
 
 def test_majority_vote_error_matches_direct_count_on_halfspace_boundaries():
-    # points placed on the hypothesis' boundary, where the sign of <a, x> - w
-    # rests on the last bit of the product
+    # points placed on the block's boundary, where the sign of the vote's
+    # product W @ (x, -1) rests on its last bit
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        hyp = HalfspaceHypothesis.from_vector(rng.standard_normal(3))
-        a, w = np.array(hyp.weights[:-1]), hyp.weights[-1]
+        weights = rng.standard_normal((1, 3))
+        weights /= np.linalg.norm(weights)
+        a, w = weights[0, :-1], weights[0, -1]
         q = rng.uniform(-1, 1, size=(100, 2))
         points = q - np.outer(q @ a - w, a) / (a @ a)
         labels = rng.choice([-1, 1], size=100)
         fresh = LabeledSample(tuple(map(tuple, points.tolist())), tuple(labels.tolist()))
-        direct = sum(hyp.evaluate(p) != lab for p, lab in fresh.records())
-        assert majority_vote_error([hyp], fresh) == direct / len(fresh)
+        direct = sum((1 if weights @ np.asarray(p + (-1.0,)) >= 0.0 else -1) != lab
+                     for p, lab in fresh.records())
+        assert majority_vote_error(HalfspaceEnsemble(weights), fresh) == direct / len(fresh)
 
 
 def test_cli_run_and_gates(tmp_path, capsys):

@@ -189,13 +189,21 @@ def _direct_vote(hypotheses, x) -> float:
     return sum(1 for h in hypotheses if h.evaluate(x) > 0) / len(hypotheses)
 
 
+def _thresholds(gen) -> list[ThresholdHypothesis]:
+    return [ThresholdHypothesis(t) for t in gen.ensemble.thresholds]
+
+
+def _rows(gen) -> list:
+    return [gen.concept.hypothesis(i) for i in gen.ensemble.rows]
+
+
 def test_threshold_vote_fast_path_matches_generic():
     blocks = [draw_sample(GridDistribution(256, 100), 8, NoiseSource(i)) for i in range(5)]
     gen = _ObliviousGenerator(ThresholdClass(256), blocks)
     gen.refresh()
-    assert len({h.threshold for h in gen.hypotheses}) > 1
+    assert len(set(gen.ensemble.thresholds)) > 1
     for x in ((0.0,), (1.0,), (99.0,), (100.0,), (101.0,), (256.0,), (300.0,)):
-        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+        assert gen.vote(x) == _direct_vote(_thresholds(gen), x)
     assert gen.vote((0.0,)) == 0.0 and gen.vote((300.0,)) == 1.0
 
 
@@ -210,15 +218,15 @@ def test_enumerated_vote_matches_direct_count():
                                     tuple(int(v) for v in rng.choice((-1, 1), size=2))))
     gen = _ObliviousGenerator(cls, blocks)
     gen.refresh()
-    assert len({h.index for h in gen.hypotheses}) > 2
+    assert len(set(gen.ensemble.rows)) > 2
     for x in points:
-        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+        assert gen.vote(x) == _direct_vote(_rows(gen), x)
     assert 0.0 < gen.vote((2.0,)) < 1.0
     gen.on_top((2.0,), 1, None)
     gen.on_top((3.0,), -1, None)
     assert gen.refresh() == []
     for x in points:
-        assert gen.vote(x) == _direct_vote(gen.hypotheses, x)
+        assert gen.vote(x) == _direct_vote(_rows(gen), x)
     assert (gen.vote((2.0,)), gen.vote((3.0,))) == (1.0, 0.0)
 
     # one point, one block per label: the ensemble splits evenly
@@ -237,7 +245,7 @@ def test_oblivious_generator_fallback_flag():
     dropped = gen.refresh()
     assert dropped == [1]
     assert gen.space.constraints == (((20.0,), 1),)
-    assert all(h.evaluate((20.0,)) == 1 for h in gen.hypotheses)
+    assert all(h.evaluate((20.0,)) == 1 for h in _thresholds(gen))
 
 
 def test_halfspace_generator_base_case_and_hyperplane():
@@ -257,17 +265,15 @@ def test_halfspace_generator_base_case_and_hyperplane():
     assert (info["dim_before"], info["dim_after"], info["redundant"]) == (3, 2, False)
     gen.refresh()
     normal = np.array([0.3, 0.2, -1.0])
-    for h in gen.hypotheses:
-        assert abs(float(np.asarray(h.weights) @ normal)) <= 1e-9
+    assert np.all(np.abs(gen.ensemble.weights @ normal) <= 1e-9)
 
     gen.on_top((0.5, -0.1), 1, None)
     gen.on_top((-0.4, 0.8), 1, None)
     gen.refresh()
     assert gen.space.dimension == 0
     assert gen.degenerate
-    for h in gen.hypotheses:
-        assert h.is_degenerate
-        assert h.evaluate((0.123, 0.456)) == 1
+    assert not gen.ensemble.weights.any()
+    assert gen.vote((0.123, 0.456)) == 1.0
 
 
 def test_halfspace_generator_rejects_non_finite_points():
