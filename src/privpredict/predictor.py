@@ -207,7 +207,11 @@ class _HalfspaceGenerator:
 
 @dataclass
 class RunReport:
-    """Full record of one prediction run; serializes canonically to JSON."""
+    """Full record of one prediction run; serializes canonically to JSON.
+
+    ``rounds[*]["x"]`` and ``top_rounds[*]["x"]`` are the adversary's own point
+    tuples, shared rather than copied; JSON writes them as arrays.
+    """
 
     seed: int
     config_digest: str
@@ -239,7 +243,10 @@ class RunReport:
         return tuple(self.labels()), self.first_top_round(), self.aborted
 
     def to_payload(self) -> dict[str, Any]:
-        """The report as a JSON-ready dict; it shares its lists with the report."""
+        """The report as a JSON-ready dict; it shares its lists with the report.
+
+        Each round's ``x`` is a tuple, not a list: it encodes as a JSON array,
+        but code that reads the dict in process must not expect a list."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ensemble"}
 
     def to_json(self) -> str:
@@ -306,7 +313,7 @@ def run(
         q = generator.vote(x)
         outcome, label = answer_query(bt_state, q, mech_noise)
         # _value_ is the plain attribute behind the slower enum property .value
-        entry = {"round": j, "x": list(x), "outcome": outcome._value_, "label": label, "q": q}
+        entry = {"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q}
         report.rounds.append(entry)
         history.append((x, label))
         if target is not None and target.label(x) != label:
@@ -315,7 +322,7 @@ def run(
             ledger.append(spec.bt_eps, spec.bt_delta)
             report.top_count += 1
             info = generator.on_top(x, label, full_queries)
-            top_entry = {"round": j, "x": list(x), "label": label}
+            top_entry = {"round": j, "x": x, "label": label}
             top_entry.update(info)
             report.top_rounds.append(top_entry)
             stale = True

@@ -84,11 +84,12 @@ def canonical(document: dict) -> str:
 
 
 def leaves(node, path: str = ""):
-    """(path, value) of every scalar, in canonical key order."""
+    """(path, value) of every scalar, in canonical key order.  A tuple is an
+    array like a list, as JSON encodes it."""
     if isinstance(node, dict):
         for key in sorted(node):
             yield from leaves(node[key], f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
+    elif isinstance(node, (list, tuple)):
         for i, item in enumerate(node):
             yield from leaves(item, f"{path}[{i}]")
     else:
@@ -154,6 +155,12 @@ def test_first_difference_names_the_changed_leaf():
     assert first_difference(document, stored) == "payload.rounds[1].q"
     shorter = {"payload": {"rounds": [{"q": 0.5}, {"q": 0.25}]}}
     assert first_difference(shorter, stored) == "the leaf count (2 leaves, the table has 3)"
+    # a tuple's items are leaves, as a list's are: both encode as a JSON array
+    points = {"payload": {"rounds": [{"x": (0.5, 1.0)}, {"x": (0.25,)}]}}
+    stored = row_entry(points)["leaves"]
+    assert stored == row_entry({"payload": {"rounds": [{"x": [0.5, 1.0]}, {"x": [0.25]}]}})["leaves"]
+    points["payload"]["rounds"][0]["x"] = (0.5, 2.0)
+    assert first_difference(points, stored) == "payload.rounds[0].x[1]"
 
 
 def _rewrite_own_row() -> None:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -126,6 +127,27 @@ def test_transcript_coherence_and_realizability():
             assert top["patterns_after"] >= 1
 
 
+def test_transcript_shares_the_query_points_and_stays_out_of_the_collector():
+    # a round record holds the adversary's own point tuple, so with only
+    # atomic values beside it CPython's cyclic GC never tracks the record
+    domain, t_rounds = 2**12, 512
+    dist = GridDistribution(domain, domain // 2 + 1)
+    spec = RunSpec("oblivious", k=52, m=20, t_rounds=t_rounds, bt_eps=8.0, bt_delta=1e-3,
+                   v_max=default_v_max("oblivious", 1, t_rounds, 0.1))
+    root = NoiseSource(3)
+    sample = draw_sample(dist, spec.k * spec.m, root.child(2))
+    points = tuple(van_der_corput_queries(t_rounds, domain))
+    adversary = OfflineAdversary(points)
+    gc.collect()  # untracks the point tuples, which hold only floats
+    report = run(spec, sample, adversary, root, concept=ThresholdClass(domain), target=dist)
+    assert len(report.rounds) == t_rounds and report.top_rounds
+    for entry in report.rounds:
+        assert entry["x"] is points[entry["round"] - 1]
+    for top in report.top_rounds:
+        assert top["x"] is points[top["round"] - 1]
+    assert not any(gc.is_tracked(entry) for entry in report.rounds + report.top_rounds)
+
+
 def test_pattern_bookkeeping_is_monotone():
     report, _ = _criterion_style_run(11, t_rounds=512)
     for top in report.top_rounds:
@@ -141,7 +163,7 @@ def test_wrong_output_implies_quarter_of_votes_wrong():
         for entry in report.rounds:
             if entry["outcome"] == "top":
                 continue
-            true_label = dist.label(tuple(entry["x"]))
+            true_label = dist.label(entry["x"])
             if entry["label"] != true_label:
                 votes_for_wrong = entry["q"] if entry["label"] == 1 else 1 - entry["q"]
                 assert votes_for_wrong >= 0.25
