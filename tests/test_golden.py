@@ -42,6 +42,8 @@ TRIALS = (0, 1)
 _CONFIGS = {
     "halfspace": dict(mode="halfspace", d=2, n_budget=600, bt_eps=8.0, bt_delta=1e-2,
                       adversary_tau=0.11),
+    "halfspace-d3": dict(mode="halfspace", d=3, n_budget=600, bt_eps=8.0, bt_delta=1e-2,
+                         adversary_tau=0.11),
     "oblivious": dict(mode="oblivious", domain_size=2**14, k=52, m=40, bt_delta=1e-3),
     "enumerated": dict(mode="oblivious", concept_file=CLASS_FILE, k=52, m=4, bt_delta=1e-3),
     "stochastic-baseline": dict(mode="stochastic-baseline", domain_size=1024, k=52, m=4,
