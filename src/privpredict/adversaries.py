@@ -21,6 +21,7 @@ from .core import (
     Point,
     StreamExhausted,
     POSITIVE,
+    certain_sign,
 )
 
 History = Sequence[tuple[Point, int]]
@@ -81,31 +82,41 @@ class BoundaryProbeAdversary:
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
         self._span = [hi - lo for lo, hi in zip(self.low, self.high)]
-        self._set_weights(np.zeros(len(self.low) + 1))
+        self._set_weights([0.0] * (len(self.low) + 1))
         self._seen = 0
         self._last_pair = None
 
-    def _set_weights(self, w: np.ndarray) -> None:
-        """Take new weights and the boundary quantities every query reads."""
+    def _set_weights(self, w: list[float]) -> None:
+        """Take new weights (a list of floats) and the boundary quantities every
+        query reads."""
         self._w = w
-        self._normal = w[:-1]
-        self._normal_list = self._normal.tolist()
+        self._normal_list = w[:-1]
+        self._normal = np.array(self._normal_list)
         # np.linalg.norm's own formula
         self._norm = math.sqrt(float(np.dot(self._normal, self._normal)))
-        self._offset = float(w[-1])
+        self._offset = w[-1]
 
     def _sync(self, history: History) -> None:
+        """Advance the perceptron over the pairs not yet seen.
+
+        The prediction w @ (x, -1) >= 0 is decided by ``certain_sign`` in
+        Python floats; only where rounding could flip its sign does it take
+        numpy's product, so it is numpy's sign bit for bit.  An update
+        w + label * (x, -1) is the same IEEE additions on floats as on arrays.
+        """
         if len(history) < self._seen or (
             self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
         ):
-            self._set_weights(np.zeros(len(self.low) + 1))
+            self._set_weights([0.0] * (len(self.low) + 1))
             self._seen = 0
         w = self._w
         for x, label in history[self._seen:]:
-            lifted = np.asarray(tuple(x) + (-1.0,))
-            predicted = POSITIVE if float(w @ lifted) >= 0.0 else -POSITIVE
+            predicted = certain_sign(w[:-1], x, w[-1])
+            if not predicted:
+                lifted = np.asarray(tuple(x) + (-1.0,))
+                predicted = POSITIVE if float(np.asarray(w) @ lifted) >= 0.0 else -POSITIVE
             if predicted != label:
-                w = w + label * lifted
+                w = [wi + label * li for wi, li in zip(w, tuple(x) + (-1.0,))]
         if w is not self._w:
             self._set_weights(w)
         self._seen = len(history)

@@ -292,6 +292,8 @@ class HalfspaceEnsemble:
     bits of the product, so every path takes it from the same matrix-vector
     product: many points run as a stack of W @ (x, -1) products
     (``lifted @ W.T`` is a matrix-matrix product and rounds differently).
+    ``vote`` calls ``W.dot(lifted)``, the same BLAS matrix-vector product as
+    ``W @ lifted`` without the matmul ufunc's dispatch.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -302,7 +304,7 @@ class HalfspaceEnsemble:
 
     def vote(self, x: Point) -> int:
         lifted = np.asarray(tuple(x) + (-1.0,))
-        return int(np.count_nonzero(self.weights @ lifted >= 0.0))
+        return int(np.count_nonzero(self.weights.dot(lifted) >= 0.0))
 
     def _positive(self, points) -> np.ndarray:
         """(n, k) mask of the +1 votes at each point."""

@@ -14,6 +14,48 @@ NEGATIVE = -1
 LABELS = (NEGATIVE, POSITIVE)
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-900  # smaller sums of |terms| may hide an underflowed product
+_HUGE = 2.0**1000  # larger ones may have overflowed on the way
+
+
+def certain_sign(a, x, c) -> int:
+    """The sign of sum(a[i] * x[i]) - c if every float evaluation shares it, else 0.
+
+    Returns ``POSITIVE`` or ``NEGATIVE`` only when any IEEE double evaluation
+    of the sum -- rounded products, any summation order, with or without fused
+    multiply-adds, ``c`` subtracted at the end or compared against the dot
+    product exactly -- has that strict sign; ``np.dot(a, x) >= c`` and
+    ``np.dot((*a, c), (*x, -1.0)) >= 0`` then agree with it.  With
+    n = len(a) + 1 terms and S = sum|a[i] * x[i]| + |c|, each such evaluation
+    lies within gamma_n * S of the exact value, gamma_n = n*u / (1 - n*u),
+    u = 2**-53, and so does the one made here.  The sign is returned when the
+    value made here exceeds 4*n*u*S in magnitude, twice the 2*gamma_n*S that
+    puts every evaluation on the same side of zero; the spare factor covers
+    the rounding of S itself and the absolute error of underflowed products.
+    Returns 0 -- so that the caller computes the sign its own way -- when the
+    bound cannot separate the value from zero, when S is 0 or below 2**-900,
+    above 2**1000 or not finite.  Raises ``ValueError`` when ``a`` and ``x``
+    differ in length, as ``np.dot`` does.
+    """
+    if len(a) != len(x):
+        raise ValueError(f"shapes ({len(a)},) and ({len(x)},) not aligned")
+    total = -c
+    size = abs(c)
+    for ai, xi in zip(a, x):
+        term = ai * xi
+        total += term
+        size += abs(term)
+    if not _TINY <= size <= _HUGE:  # also false for a NaN
+        return 0
+    bound = 4 * (len(a) + 1) * _UNIT_ROUNDOFF * size
+    if total > bound:
+        return POSITIVE
+    if total < -bound:
+        return NEGATIVE
+    return 0
+
+
 class ConfigurationError(ValueError):
     """A descriptor or parameter set is invalid before any work starts."""
 
@@ -225,8 +267,17 @@ class BoxDistribution:
             raise ConfigurationError("target normal must be nonzero")
         # converted once, so that each label converts only the query point
         object.__setattr__(self, "_normal", np.asarray(self.normal, dtype=float))
+        object.__setattr__(self, "_normal_list", self._normal.tolist())
 
     def label(self, p: Point) -> int:
+        """+1 iff np.dot(normal, p) >= offset, as numpy rounds the product.
+
+        ``certain_sign`` decides the comparison in Python floats wherever no
+        rounding can flip it; the rest take numpy's product itself.
+        """
+        sign = certain_sign(self._normal_list, p, self.offset)
+        if sign:
+            return sign
         return POSITIVE if float(np.dot(self._normal, p)) >= self.offset else NEGATIVE
 
     def labels(self, points: list[Point]) -> tuple[int, ...]:
@@ -236,7 +287,7 @@ class BoxDistribution:
         lo = np.asarray(self.low)
         hi = np.asarray(self.high)
         pts = noise.rng.uniform(lo, hi, size=(n, len(lo)))
-        return [tuple(float(c) for c in row) for row in pts]
+        return [tuple(row) for row in pts.tolist()]
 
     @property
     def diameter(self) -> float:
