@@ -61,7 +61,7 @@ class StochasticAdversary:
     dist: DataDistribution
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
-        return self.dist.sample_points(1, noise)[0]
+        return tuple(self.dist.sample_points(1, noise)[0].tolist())
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None

@@ -83,8 +83,8 @@ class ThresholdBlocks:
         floors = np.full((k, width), np.inf)
         positive = np.ones((k, width), dtype=bool)
         for i, sample in enumerate(samples):
-            floors[i, : len(sample)] = [p[0] for p in sample.points]
-            positive[i, : len(sample)] = np.equal(sample.labels, POSITIVE)
+            floors[i, : len(sample)] = sample.points.ravel()  # one coordinate per point
+            positive[i, : len(sample)] = sample.labels == POSITIVE
         floors = np.clip(np.floor(floors), 0, size + 1)
         order = np.argsort(floors, axis=1, kind="stable")
         self.floors = np.take_along_axis(floors, order, axis=1)
@@ -221,8 +221,7 @@ class EnumeratedClass:
         if len(rows) == 0:
             raise EmptyVersionSpaceError("all enumerated hypotheses are ruled out")
         cols = [self._col(p) for p in sample.points]
-        labels = np.asarray(sample.labels)
-        errors = (self.patterns[np.ix_(rows, cols)] != labels[None, :]).sum(axis=1)
+        errors = (self.patterns[np.ix_(rows, cols)] != sample.labels).sum(axis=1)
         return self.hypothesis(int(rows[int(np.argmin(errors))]))  # argmin keeps lowest index on ties
 
     def pattern_count(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> int:
@@ -273,11 +272,11 @@ class ThresholdEnsemble:
         return bisect.bisect_right(self._sorted, x[0])
 
     def votes(self, points) -> np.ndarray:
-        xs = np.array([p[0] for p in points], dtype=float)
+        xs = np.asarray(points, dtype=float)[:, 0]
         return np.searchsorted(np.array(self._sorted), xs, side="right")
 
     def labels(self, points) -> np.ndarray:
-        xs = np.array([p[0] for p in points], dtype=float)
+        xs = np.asarray(points, dtype=float)[:, 0]
         return np.where(xs[None, :] >= np.array(self.thresholds)[:, None], POSITIVE, NEGATIVE)
 
     def payload(self) -> list[dict]:

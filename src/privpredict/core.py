@@ -180,47 +180,58 @@ class NoiseSource:
         return f"NoiseSource(seed={self.seed}, spawn_key={self._spawn_key})"
 
 
-def _check_point(p: Point) -> Point:
-    p = tuple(float(c) for c in p)
-    if not p or not all(np.isfinite(c) for c in p):
-        raise ConfigurationError(f"point must be nonempty and finite, got {p!r}")
-    return p
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSample:
-    """Ordered multiset of (point, label) records sharing one dimension."""
+    """Ordered multiset of (point, label) records sharing one dimension.
 
-    points: tuple[Point, ...]
-    labels: tuple[int, ...]
+    ``points`` is a read-only (n, d) float64 array and ``labels`` a read-only
+    (n,) int8 array of +1/-1; arrays, lists or tuples may be passed in.  Every
+    point is finite and has d >= 1 coordinates.  Samples compare and hash by
+    identity, since arrays are unhashable.
+    """
+
+    points: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) != len(self.labels):
-            raise ConfigurationError("points and labels must have equal length")
-        if len(set(map(len, self.points))) > 1:
-            raise ConfigurationError("all points must share one dimension")
-        if not set(self.labels) <= set(LABELS):
+        try:
+            points = np.array(self.points, dtype=np.float64)  # a private copy
+            labels = np.asarray(self.labels)
+        except (TypeError, ValueError) as exc:  # ragged or not numeric
+            raise ConfigurationError(f"points must be numbers sharing one dimension: {exc}") from None
+        if points.shape == (0,):
+            points = points.reshape(0, 0)
+        if points.ndim != 2 or labels.ndim != 1 or len(points) != len(labels):
+            raise ConfigurationError("points must be an (n, d) array with one label per point")
+        if len(points) and not points.shape[1]:
+            raise ConfigurationError("points must have at least one coordinate")
+        if not np.isfinite(points).all():
+            raise ConfigurationError("points must be finite")
+        # checked before the int8 cast, which would truncate 1.5 to 1
+        if labels.dtype.kind not in "iuf" or not (abs(labels) == 1).all():
             raise ConfigurationError("labels must be +1 or -1")
+        labels = labels.astype(np.int8)
+        points.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.labels)
 
     @property
     def dimension(self) -> int:
-        if not self.points:
+        if not len(self):
             raise UsageError("empty sample has no dimension")
-        return len(self.points[0])
+        return self.points.shape[1]
 
     def records(self) -> list[tuple[Point, int]]:
-        return list(zip(self.points, self.labels))
+        """(point tuple, int label) pairs, in Python floats and ints."""
+        return list(zip(map(tuple, self.points.tolist()), self.labels.tolist()))
 
     @staticmethod
     def from_records(records) -> "LabeledSample":
         records = list(records)
-        return LabeledSample(
-            tuple(_check_point(p) for p, _ in records),
-            tuple(int(lab) for _, lab in records),
-        )
+        return LabeledSample([p for p, _ in records], [lab for _, lab in records])
 
 
 @dataclass(frozen=True)
@@ -240,13 +251,11 @@ class GridDistribution:
     def label(self, p: Point) -> int:
         return POSITIVE if p[0] >= self.threshold else NEGATIVE
 
-    def labels(self, points: list[Point]) -> tuple[int, ...]:
-        xs = np.array([p[0] for p in points], dtype=float)
-        return tuple(np.where(xs >= self.threshold, POSITIVE, NEGATIVE).tolist())
+    def labels(self, points) -> np.ndarray:
+        return np.where(np.asarray(points, dtype=float)[:, 0] >= self.threshold, POSITIVE, NEGATIVE)
 
-    def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
-        xs = noise.rng.integers(1, self.size + 1, size=n)
-        return [(x,) for x in xs.astype(float).tolist()]
+    def sample_points(self, n: int, noise: NoiseSource) -> np.ndarray:
+        return noise.rng.integers(1, self.size + 1, size=(n, 1)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -280,14 +289,15 @@ class BoxDistribution:
             return sign
         return POSITIVE if float(np.dot(self._normal, p)) >= self.offset else NEGATIVE
 
-    def labels(self, points: list[Point]) -> tuple[int, ...]:
-        return tuple(self.label(p) for p in points)
+    def labels(self, points) -> np.ndarray:
+        """``label`` of every row: a stack of (1 x d) @ (d x 1) products runs
+        the kernel of ``label``'s ``np.dot``, so it rounds each one the same."""
+        pts = np.asarray(points, dtype=float)
+        products = np.matmul(pts[:, None, :], self._normal[:, None])[:, 0, 0]
+        return np.where(products >= self.offset, POSITIVE, NEGATIVE)
 
-    def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
-        lo = np.asarray(self.low)
-        hi = np.asarray(self.high)
-        pts = noise.rng.uniform(lo, hi, size=(n, len(lo)))
-        return [tuple(row) for row in pts.tolist()]
+    def sample_points(self, n: int, noise: NoiseSource) -> np.ndarray:
+        return noise.rng.uniform(np.asarray(self.low), np.asarray(self.high), size=(n, len(self.low)))
 
     @property
     def diameter(self) -> float:
@@ -316,12 +326,12 @@ class AtomDistribution:
                 return lab
         raise UsageError(f"point {p!r} is not an atom of this distribution")
 
-    def labels(self, points: list[Point]) -> tuple[int, ...]:
-        return tuple(self.label(p) for p in points)
+    def labels(self, points) -> np.ndarray:
+        return np.array([self.label(p) for p in map(tuple, np.asarray(points, dtype=float).tolist())])
 
-    def sample_points(self, n: int, noise: NoiseSource) -> list[Point]:
+    def sample_points(self, n: int, noise: NoiseSource) -> np.ndarray:
         idx = noise.rng.choice(len(self.atoms), size=n, p=self.probs)
-        return [self.atoms[i] for i in idx]
+        return np.asarray(self.atoms, dtype=float)[idx]
 
 
 DataDistribution = GridDistribution | BoxDistribution | AtomDistribution
@@ -332,7 +342,7 @@ def draw_sample(dist: DataDistribution, n: int, noise: NoiseSource) -> LabeledSa
     if n < 1:
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     pts = dist.sample_points(n, noise)
-    return LabeledSample(tuple(pts), dist.labels(pts))
+    return LabeledSample(pts, dist.labels(pts))
 
 
 def partition(sample: LabeledSample, k: int, noise: NoiseSource) -> list[LabeledSample]:
@@ -340,18 +350,8 @@ def partition(sample: LabeledSample, k: int, noise: NoiseSource) -> list[Labeled
     n = len(sample)
     if k < 1 or n % k != 0:
         raise ConfigurationError(f"|S|={n} is not divisible into k={k} equal blocks")
-    m = n // k
-    order = noise.permutation(n)
-    blocks = []
-    for i in range(k):
-        idx = order[i * m : (i + 1) * m]
-        blocks.append(
-            LabeledSample(
-                tuple(sample.points[j] for j in idx),
-                tuple(sample.labels[j] for j in idx),
-            )
-        )
-    return blocks
+    order = noise.permutation(n).reshape(k, n // k)
+    return [LabeledSample(sample.points[idx], sample.labels[idx]) for idx in order]
 
 
 def empirical_error(hypothesis, sample: LabeledSample) -> float:

@@ -212,14 +212,10 @@ class AuditReport:
 
 
 def _differ_in_one_record(a: LabeledSample, b: LabeledSample) -> bool:
-    if len(a) != len(b):
+    if a.points.shape != b.points.shape:
         return False
-    diffs = sum(
-        1
-        for (pa, la), (pb, lb) in zip(a.records(), b.records())
-        if pa != pb or la != lb
-    )
-    return diffs == 1
+    differs = (a.points != b.points).any(axis=1) | (a.labels != b.labels)
+    return int(differs.sum()) == 1
 
 
 def _clopper_pearson(count: int, trials: int) -> tuple[float, float]:

@@ -203,7 +203,7 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
 def majority_vote_error(ensemble: Ensemble, sample: LabeledSample) -> float:
     """Heldout error of the sign of the ensemble's mean vote (ties count as +1)."""
     predicted = np.where(2 * ensemble.votes(sample.points) >= len(ensemble), 1, -1)
-    return float(np.mean(predicted != np.array(sample.labels)))
+    return float(np.mean(predicted != sample.labels))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> tuple[dict, dict]:
@@ -385,7 +385,7 @@ class AuditToy:
             counts = counts_of.get(sample)
             if counts is None:
                 ensemble = ThresholdEnsemble(
-                    [1.0 if lab > 0 else p[0] + 1.0 for p, lab in sample.records()])
+                    np.where(sample.labels > 0, 1.0, sample.points[:, 0] + 1.0).tolist())
                 # nearly every transcript halts within its first few rounds,
                 # so a count is divided on use
                 counts = counts_of[sample] = ensemble.votes(stream).tolist()

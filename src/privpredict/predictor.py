@@ -154,13 +154,11 @@ class _HalfspaceGenerator:
         self.blocks = blocks
         self.space = geometry.FeasibleSubspace.full(d + 1)
         # lab * (x, -1), as geometry.to_constraint forms it; a product with
-        # +-1.0 is exact
-        points = np.array([blk.points for blk in blocks], dtype=float).reshape(len(blocks), -1, d)
-        labels = np.array([blk.labels for blk in blocks], dtype=float)
+        # +-1 is exact
+        points = np.stack([blk.points for blk in blocks])
+        labels = np.stack([blk.labels for blk in blocks])
         lifted = np.concatenate([points, np.full((*points.shape[:2], 1), -1.0)], axis=2)
         self.normals = labels[:, :, None] * lifted
-        if not np.all(np.isfinite(self.normals)):
-            raise ConfigurationError("constraint normals must be finite")
         self._ensemble: HalfspaceEnsemble | None = None
         self._values: list[int] | None = None
         self.degenerate = False
@@ -337,6 +335,6 @@ def run(
     report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
     report.ensemble = generator.ensemble
     report.final_hypotheses = report.ensemble.payload()
-    wrong = (report.ensemble.labels(sample.points) != np.asarray(sample.labels)).sum(axis=1)
+    wrong = (report.ensemble.labels(sample.points) != sample.labels).sum(axis=1)
     report.max_block_error = int(wrong.max()) / len(sample)
     return report

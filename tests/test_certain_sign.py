@@ -1,6 +1,8 @@
 """``core.certain_sign`` and its two callers against the numpy expressions they
 replace (``sign_oracle``): a decided sign never contradicts numpy, and the
-callers give numpy's labels and weights bit for bit, deciding or falling back."""
+callers give numpy's labels and weights bit for bit, deciding or falling back.
+Also the stack of (1 x d) @ (d x 1) products that ``BoxDistribution.labels``
+takes in place of one ``np.dot`` per point."""
 
 import math
 from collections import Counter
@@ -124,6 +126,35 @@ def test_box_label_decides_and_falls_back_as_numpy(monkeypatch):
             for p in [on] + near + far:
                 assert dist.label(p) == sign_oracle.box_label(normal, offset, p)
     assert counts["decided"] > 0 and counts["fallback"] > 0, counts
+
+
+@st.composite
+def stacked_cases(draw):
+    """A vector a and an (n, d) stack of rows, d = 1..4, with entries of
+    magnitude 1e-8 to 1e8 of either sign, and signed zeros."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.builds(lambda m, e: m * 10.0**e,
+                  st.floats(1.0, 10.0).flatmap(lambda m: st.sampled_from((m, -m))),
+                  st.integers(-8, 7)))
+    a = draw(st.lists(entry, min_size=d, max_size=d))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=8))
+    return np.array(a), np.array(rows)
+
+
+@given(case=stacked_cases())
+@settings(max_examples=300, deadline=None)
+def test_stacked_products_equal_dot_bit_for_bit(case):
+    a, rows = case
+    stacked = np.matmul(rows[:, None, :], a[:, None])[:, 0, 0].tolist()
+    for row, got in zip(rows, stacked):
+        want = [float(np.dot(a, row)), float(a.dot(row)), float(np.dot(a, tuple(row.tolist())))]
+        if len(a) == 1:
+            # np.dot returns the one product as is, the stack adds it to +0.0:
+            # a -0.0 comes out +0.0, which compares with any offset the same
+            want = [w + 0.0 for w in want]
+        assert _same([got] * 3, want), (a, row)
 
 
 def test_probe_perceptron_decides_and_falls_back_as_numpy(monkeypatch):

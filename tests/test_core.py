@@ -43,8 +43,9 @@ def test_noise_source_determinism_and_children():
 def test_point_mass_draws_three_copies():
     dist = AtomDistribution(atoms=((7.0,),), probs=(1.0,), atom_labels=(1,))
     sample = draw_sample(dist, 3, NoiseSource(1))
-    assert sample.points == ((7.0,),) * 3
-    assert sample.labels == (1, 1, 1)
+    assert np.array_equal(sample.points, [(7.0,)] * 3)
+    assert np.array_equal(sample.labels, [1, 1, 1])
+    assert (sample.points.dtype, sample.labels.dtype) == (np.float64, np.int8)
 
 
 def test_draw_sample_rejects_empty():
@@ -65,7 +66,8 @@ def test_draw_sample_deterministic_per_seed():
     dist = GridDistribution(1000, 500)
     s1 = draw_sample(dist, 50, NoiseSource(9))
     s2 = draw_sample(dist, 50, NoiseSource(9))
-    assert s1 == s2
+    assert s1.points.tobytes() == s2.points.tobytes() and s1.points.shape == s2.points.shape
+    assert s1.labels.tobytes() == s2.labels.tobytes()
 
 
 def test_partition_sizes_and_union():
@@ -127,11 +129,41 @@ def test_empirical_error_empty_sample_errors():
 def test_labeled_sample_validation():
     with pytest.raises(ConfigurationError):
         LabeledSample(((1.0,), (2.0, 3.0)), (1, -1))
-    for bad in (2, 0, 0.5):
+    for bad in (2, 0, 0.5, 1.5, -1.5, "1"):
         with pytest.raises(ConfigurationError):
             LabeledSample(((1.0,), (2.0,)), (1, bad))
     with pytest.raises(ConfigurationError):
         LabeledSample(((1.0,),), (1, -1))
+    with pytest.raises(ConfigurationError):
+        LabeledSample(((), ()), (1, -1))  # points without coordinates
+    # a non-finite coordinate is rejected however the sample is built
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LabeledSample(((0.1, 0.2), (bad, 0.0)), (1, -1))
+        with pytest.raises(ConfigurationError, match="finite"):
+            LabeledSample.from_records([((0.1, 0.2), 1), ((bad, 0.0), -1)])
+        with pytest.raises(ConfigurationError, match="finite"):
+            LabeledSample(np.array([[0.1, bad]]), np.array([1]))
+
+
+def test_labeled_sample_arrays_are_read_only_copies():
+    points = np.array([[1.0], [2.0]])
+    labels = np.array([1, -1])
+    sample = LabeledSample(points, labels)
+    points[0, 0] = 5.0
+    labels[0] = -1
+    assert sample.points.tolist() == [[1.0], [2.0]] and sample.labels.tolist() == [1, -1]
+    with pytest.raises(ValueError):
+        sample.points[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        sample.labels[0] = -1
+    assert sample.records() == [((1.0,), 1), ((2.0,), -1)]
+    assert all(type(c) is float for p, _ in sample.records() for c in p)
+    assert all(type(lab) is int for _, lab in sample.records())
+    empty = LabeledSample((), ())
+    assert len(empty) == 0 and empty.records() == []
+    with pytest.raises(UsageError):
+        empty.dimension
 
 
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -157,4 +189,5 @@ def test_box_label_exact_boundary_examples():
     dist = BoxDistribution((0.0, 0.0), (4.0, 4.0), (0.5, 0.25), 1.0)
     assert dist.label((1.0, 2.0)) == POSITIVE  # 0.5 + 0.5 == 1.0 exactly
     assert dist.label((0.0, math.nextafter(4.0, 0.0))) == NEGATIVE  # 1 - 2**-53
-    assert dist.labels([(2.0, 0.0), (0.0, 4.0), (0.0, 3.5)]) == (POSITIVE, POSITIVE, NEGATIVE)
+    points = [(2.0, 0.0), (0.0, 4.0), (0.0, 3.5), (1.0, 2.0), (0.0, math.nextafter(4.0, 0.0))]
+    assert dist.labels(points).tolist() == [POSITIVE, POSITIVE, NEGATIVE, POSITIVE, NEGATIVE]

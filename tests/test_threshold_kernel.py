@@ -1,6 +1,6 @@
 """The batched threshold ERM, the cached pattern cuts and the array form of the
-van der Corput stream against their scalar oracles, plus the one-pass grid
-labels and the lazily built noise generator.
+van der Corput stream against their scalar oracles, plus the one-pass
+distribution labels and the lazily built noise generator.
 
 Agreement is exact: the same integer thresholds, counts and point lists.
 """
@@ -14,12 +14,15 @@ import threshold_oracle as oracle
 from privpredict.adversaries import van_der_corput_queries
 from privpredict.concepts import ThresholdBlocks, ThresholdClass, VersionSpace
 from privpredict.core import (
+    AtomDistribution,
+    BoxDistribution,
     CapabilityError,
     ConfigurationError,
     EmptyVersionSpaceError,
     GridDistribution,
     LabeledSample,
     NoiseSource,
+    certain_sign,
     draw_sample,
 )
 
@@ -129,14 +132,45 @@ def test_threshold_grid_cap_is_named():
         ThresholdClass(ThresholdClass.MAX_SIZE + 1)
 
 
+def _assert_labels_pointwise(dist, points, labels=None):
+    """``labels`` (by default ``dist.labels(points)``) equals ``dist.label`` of
+    every row, the row given as the tuple an adversary would pass."""
+    labels = dist.labels(points) if labels is None else labels
+    assert labels.tolist() == [dist.label(p) for p in map(tuple, np.asarray(points).tolist())]
+
+
 @given(size=st.integers(1, 2**40), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
+       d=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_grid_labels_match_pointwise_label(size, n, seed, data):
-    dist = GridDistribution(size, data.draw(st.integers(1, size + 1)))
-    sample = draw_sample(dist, n, NoiseSource(seed))
-    assert sample.labels == tuple(dist.label(p) for p in sample.points)
-    assert all(type(lab) is int for lab in sample.labels)
+def test_grid_labels_match_pointwise_label(size, n, seed, d, data):
+    """The one-pass ``labels`` of the grid, the box and the atoms equal ``label``
+    on every row, in the drawn sample and for ``labels`` itself."""
+    grid = GridDistribution(size, data.draw(st.integers(1, size + 1)))
+
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal(d)
+    drawn = rng.uniform(-1.0, 1.0, (n, d))
+    offset = float(np.dot(normal, drawn[0]))  # drawn[0] lies exactly on the boundary
+    box = BoxDistribution((-1.0,) * d, (1.0,) * d, tuple(normal.tolist()), offset)
+    # projected onto the boundary, each product lies within rounding of the
+    # offset; there, at drawn[0] and one ulp from it along each axis, the
+    # filter leaves the sign to numpy's product
+    projected = drawn - np.outer(drawn @ normal - offset, normal) / (normal @ normal)
+    up = drawn[0] + np.diag(np.nextafter(drawn[0], 2.0) - drawn[0])
+    down = drawn[0] + np.diag(np.nextafter(drawn[0], -2.0) - drawn[0])
+    assert certain_sign(box.normal, tuple(drawn[0].tolist()), offset) == 0
+    _assert_labels_pointwise(box, np.vstack([drawn, projected, up, down]))
+
+    pool = [tuple(rng.integers(-2, 3, d).astype(float).tolist()) for _ in range(4)]
+    atoms = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))  # repeats: the first wins
+    atom_labels = tuple(data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(atoms), max_size=len(atoms))))
+    atom = AtomDistribution(atoms, (1.0 / len(atoms),) * len(atoms), atom_labels)
+
+    for dist in (grid, box, atom):
+        sample = draw_sample(dist, n, NoiseSource(seed))
+        assert (sample.points.dtype, sample.labels.dtype) == (np.float64, np.int8)
+        _assert_labels_pointwise(dist, sample.points)
+        _assert_labels_pointwise(dist, sample.points, sample.labels)
 
 
 def test_noise_generator_is_built_on_first_use():
