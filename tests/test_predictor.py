@@ -298,6 +298,14 @@ def test_halfspace_generator_base_case_and_hyperplane():
     assert gen.vote((0.123, 0.456)) == 1.0
 
 
+def test_halfspace_generator_rejects_non_finite_points():
+    # the finiteness check lives in LabeledSample, so a non-finite block never
+    # reaches the generator
+    with pytest.raises(ConfigurationError, match="finite"):
+        blocks = [LabeledSample(((0.1, 0.2), (float("inf"), 0.0)), (1, -1))]
+        _HalfspaceGenerator(2, blocks)
+
+
 def test_halfspace_cdepth_progression():
     # after c hard queries every block's reported value stays above the
     # transfer-weakened floor 1 - 2*c*alpha*(d+1): witnessing cdepth on the
