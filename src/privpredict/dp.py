@@ -182,6 +182,9 @@ def compose_tight(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, flo
 # Empirical privacy auditing
 # ---------------------------------------------------------------------------
 
+# A mechanism draws its noise from the source it is handed and must not call
+# ``child()`` on it: ``audit_dp`` hands every trial of a side the same source,
+# so a child would replay one stream for every trial.
 Mechanism = Callable[[LabeledSample, NoiseSource], Hashable]
 Event = Callable[[Hashable], bool]
 
@@ -253,6 +256,14 @@ def audit_dp(
     Runs the mechanism ``trials`` times per side, then for every named event
     compares Clopper-Pearson adjusted frequencies in both directions with the
     additive delta correction.  The reported eps_hat is the max over events.
+
+    Each side has one noise source, ``noise.child(0)`` for ``sample`` and
+    ``noise.child(1)`` for ``sample_neighbor``, and every trial of that side
+    draws on from where the previous one stopped.  So the mechanism must draw
+    from the source it is given and must not call ``child()`` on it: a child
+    would replay one stream for every trial.  A structural draw
+    (``permutation``, ``rng``) after the first trial's noise raises
+    ``UsageError``.
     """
     if trials < 1000:
         raise ConfigurationError("auditing below 10^3 trials is too noisy to report")
@@ -265,9 +276,9 @@ def audit_dp(
     counts_b: Counter = Counter()
     src_a = noise.child(0)
     src_b = noise.child(1)
-    for t in range(trials):
-        counts_a[mechanism(sample, src_a.child(t))] += 1
-        counts_b[mechanism(sample_neighbor, src_b.child(t))] += 1
+    for _ in range(trials):
+        counts_a[mechanism(sample, src_a)] += 1
+        counts_b[mechanism(sample_neighbor, src_b)] += 1
 
     per_event = []
     best = -math.inf

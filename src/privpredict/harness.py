@@ -368,11 +368,14 @@ class AuditToy:
     def mechanism(self, scale_factor: float = 1.0):
         """The vote/threshold channel of a prediction run with top budget zero.
 
-        Equivalent to the full loop with singleton blocks: the partition draw is
-        consumed identically, vote counts are permutation invariant, and each
-        vote is answered by ``answer_query``, the step ``run`` uses.  So the
-        vote counts of every round depend on the sample alone, and are
-        computed once per sample.
+        Equivalent to the full loop with singleton blocks, from the point where
+        ``run`` has drawn its partition: vote counts are permutation invariant,
+        and each vote is answered by ``answer_query``, the step ``run`` uses.
+        So the vote counts of every round depend on the sample alone, and are
+        computed once per sample.  A transcript draws ``bt_init`` and every
+        answer straight from the ``noise`` it is handed, so consecutive calls
+        on one source continue its stream; ``audit_dp`` hands every trial of
+        a side the same source.
         """
         params = self.params(scale_factor)
         stream = self.stream()
@@ -380,8 +383,6 @@ class AuditToy:
         counts_of: dict[LabeledSample, list[int]] = {}
 
         def mech(sample: LabeledSample, noise: NoiseSource):
-            mech_noise = noise.child(0)
-            mech_noise.permutation(len(sample))
             counts = counts_of.get(sample)
             if counts is None:
                 ensemble = ThresholdEnsemble(
@@ -389,10 +390,10 @@ class AuditToy:
                 # nearly every transcript halts within its first few rounds,
                 # so a count is divided on use
                 counts = counts_of[sample] = ensemble.votes(stream).tolist()
-            state = bt_init(params, mech_noise)
+            state = bt_init(params, noise)
             labels: list[int] = []
             for j, count in enumerate(counts, 1):
-                _, label = answer_query(state, count / k, mech_noise)
+                _, label = answer_query(state, count / k, noise)
                 labels.append(label)
                 if state.halted:  # a TOP answer halts the instance
                     return tuple(labels), j, True

@@ -258,6 +258,18 @@ def test_audit_randomized_response_matches_ln3():
     assert abs(report.eps_hat - math.log(3)) <= 0.12
 
 
+def test_audit_structural_draw_on_a_later_trial_raises():
+    """Every trial of a side shares one source, so a mechanism that draws
+    structure after the first trial's noise fails loudly."""
+    def mechanism(s, ns):
+        ns.permutation(2)
+        return ns.uniform() < 0.5
+
+    with pytest.raises(UsageError, match="structural draw after a noise draw"):
+        audit_dp(mechanism, _singleton(1, 1), _singleton(2, 1),
+                 [("low", lambda out: out)], trials=1000, noise=NoiseSource(0))
+
+
 def test_audit_input_validation():
     sample = _singleton(1, 1)
     with pytest.raises(UsageError):

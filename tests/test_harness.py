@@ -307,8 +307,11 @@ def test_cli_plan_output(capsys):
 
 
 def test_cli_audit_quick(capsys):
-    # 2e4 trials is the smallest scale at which the honest channel's rare events
-    # have enough mass on both sides to avoid a spurious divergence flag
+    # Below about 1e4 trials per side, a rare first-top event of the honest
+    # channel can go unseen on one side (at seed 7 and 5e3 trials, first_top@8
+    # is seen 44 times against 0), and a zero count reads as divergence; 2e4
+    # trials leave a margin.  Each side draws all its transcripts from one
+    # noise stream, so this takes well under a second.
     rc = main(["audit", "--trials", "20000"])
     out = capsys.readouterr().out
     assert "eps_hat" in out
@@ -318,7 +321,9 @@ def test_cli_audit_quick(capsys):
 
 def test_audit_toy_mechanism_matches_full_predictor_loop():
     """The lean audited channel reproduces the full loop bit for bit, on both
-    samples and for the honest and the broken (half-noise) variant."""
+    samples and for the honest and the broken (half-noise) variant.  The
+    toy draws from the source it is handed, so it gets the stream ``run``
+    answers from: the mechanism child, past the partition draw."""
     from privpredict.concepts import ThresholdClass
 
     toy = AuditToy()
@@ -341,9 +346,62 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
         )
         for side, sample in enumerate(toy.samples()):
             for seed in range(60):
-                lean = mech(sample, NoiseSource(seed))
+                src = NoiseSource(seed).child(0)
+                src.permutation(len(sample))
+                lean = mech(sample, src)
                 full = run(spec, sample, ObliviousAdversary(tuple(toy.stream())),
                            NoiseSource(seed), concept=ThresholdClass(toy.domain))
                 assert lean == full.observable(), (scale_factor, side, seed)
                 stops.add(lean[2])
     assert stops == {False, True}  # halted and full-length transcripts both compared
+
+
+def test_run_audit_builds_one_generator_per_side(monkeypatch):
+    """Every transcript of a side draws from that side's one source, so an
+    audit builds two numpy generators, not one per transcript."""
+    built = []
+    build = NoiseSource._generator
+
+    def counting(self):
+        if self._rng is None:
+            built.append(self._spawn_key)
+        return build(self)
+
+    monkeypatch.setattr(NoiseSource, "_generator", counting)
+    harness.run_audit(1000, 7)
+    assert len(built) <= 2, built
+
+
+class _CountingSource(NoiseSource):
+    """A source that counts its noise draws (the toy makes no other kind)."""
+
+    draws = 0
+
+    def uniform(self):
+        self.draws += 1
+        return super().uniform()
+
+    def coin(self):
+        self.draws += 1
+        return super().coin()
+
+
+def test_audit_toy_mechanism_continues_the_stream():
+    """Two transcripts on one source: the first starts at the stream's start,
+    the second where the first stopped, so the stream is never replayed."""
+    toy = AuditToy()
+    mech = toy.mechanism()
+    sample, _ = toy.samples()
+    differ = 0
+    for seed in range(20):
+        src = _CountingSource(seed)
+        first = mech(sample, src)
+        used = src.draws
+        second = mech(sample, src)
+        assert used > 0 and src.draws > used
+        assert mech(sample, NoiseSource(seed)) == first, seed
+        ahead = NoiseSource(seed)
+        ahead.doubles(used)
+        assert mech(sample, ahead) == second, seed
+        differ += first != second
+    assert differ > 0
