@@ -188,7 +188,10 @@ def compose_tight(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, flo
 Mechanism = Callable[[LabeledSample, NoiseSource], Hashable]
 Event = Callable[[Hashable], bool]
 
-AUDIT_CONFIDENCE = 0.95  # two-sided Clopper-Pearson level of every audited frequency
+# Confidence of the reported maximum over events.  Each event's two-sided
+# Clopper-Pearson intervals are taken at 1 - (1 - AUDIT_CONFIDENCE)/|events|
+# (a Bonferroni split), so the maximum over all of them holds at this level.
+AUDIT_CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -221,17 +224,19 @@ def _differ_in_one_record(a: LabeledSample, b: LabeledSample) -> bool:
     return int(differs.sum()) == 1
 
 
-def _clopper_pearson(count: int, trials: int) -> tuple[float, float]:
-    tail = (1.0 - AUDIT_CONFIDENCE) / 2.0
+def _clopper_pearson(count: int, trials: int, confidence: float) -> tuple[float, float]:
+    tail = (1.0 - confidence) / 2.0
     lo = 0.0 if count == 0 else float(beta_dist.ppf(tail, count, trials - count + 1))
     hi = 1.0 if count == trials else float(beta_dist.ppf(1.0 - tail, count + 1, trials - count))
     return lo, hi
 
 
-def _one_direction(c_num: int, c_den: int, trials: int, delta: float) -> tuple[float, bool]:
+def _one_direction(
+    c_num: int, c_den: int, trials: int, delta: float, confidence: float
+) -> tuple[float, bool]:
     """Lower confidence estimate of ln((p_num - delta) / p_den); inf flags divergence."""
-    num_lo, _ = _clopper_pearson(c_num, trials)
-    _, den_hi = _clopper_pearson(c_den, trials)
+    num_lo, _ = _clopper_pearson(c_num, trials, confidence)
+    _, den_hi = _clopper_pearson(c_den, trials, confidence)
     num = num_lo - delta
     if num <= 0.0:
         return -math.inf, False
@@ -255,7 +260,9 @@ def audit_dp(
 
     Runs the mechanism ``trials`` times per side, then for every named event
     compares Clopper-Pearson adjusted frequencies in both directions with the
-    additive delta correction.  The reported eps_hat is the max over events.
+    additive delta correction.  The reported eps_hat is the max over events;
+    each event's intervals take an equal share of ``1 - AUDIT_CONFIDENCE``, so
+    the max is a lower estimate at ``AUDIT_CONFIDENCE``.
 
     Each side has one noise source, ``noise.child(0)`` for ``sample`` and
     ``noise.child(1)`` for ``sample_neighbor``, and every trial of that side
@@ -280,14 +287,15 @@ def audit_dp(
         counts_a[mechanism(sample, src_a)] += 1
         counts_b[mechanism(sample_neighbor, src_b)] += 1
 
+    confidence = 1.0 - (1.0 - AUDIT_CONFIDENCE) / len(events)
     per_event = []
     best = -math.inf
     diverged = False
     for name, predicate in events:
         ca = sum(c for out, c in counts_a.items() if predicate(out))
         cb = sum(c for out, c in counts_b.items() if predicate(out))
-        e_ab, d_ab = _one_direction(ca, cb, trials, delta)
-        e_ba, d_ba = _one_direction(cb, ca, trials, delta)
+        e_ab, d_ab = _one_direction(ca, cb, trials, delta, confidence)
+        e_ba, d_ba = _one_direction(cb, ca, trials, delta, confidence)
         eps_hat = max(e_ab, e_ba)
         ev_div = d_ab or d_ba
         per_event.append(EventAudit(name, eps_hat, ev_div, ca / trials, cb / trials))

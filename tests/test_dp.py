@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import beta as beta_dist
 
 from privpredict.core import (
     ConfigurationError,
@@ -210,6 +211,11 @@ def _singleton(x, lab):
     return LabeledSample(((float(x),),), (lab,))
 
 
+def _randomized_response(s, ns):
+    bit = 1 if s.labels[0] > 0 else 0
+    return bit ^ (ns.uniform() < 0.25)
+
+
 def test_audit_constant_mechanism():
     sample = _singleton(1, 1)
     neighbor = _singleton(2, 1)
@@ -241,14 +247,10 @@ def test_audit_identity_mechanism_diverges():
 
 
 def test_audit_randomized_response_matches_ln3():
-    def mechanism(s, ns):
-        bit = 1 if s.labels[0] > 0 else 0
-        return bit ^ (ns.uniform() < 0.25)
-
     sample = _singleton(1, 1)
     neighbor = _singleton(1, -1)
     report = audit_dp(
-        mechanism,
+        _randomized_response,
         sample,
         neighbor,
         [("one", lambda out: out == 1)],
@@ -256,6 +258,34 @@ def test_audit_randomized_response_matches_ln3():
         noise=NoiseSource(3),
     )
     assert abs(report.eps_hat - math.log(3)) <= 0.12
+
+
+def _eps_lower(c_num, c_den, trials, confidence):
+    """ln(p_num / p_den) from the two-sided Clopper-Pearson bounds, in closed form."""
+    tail = (1.0 - confidence) / 2.0
+    lo = beta_dist.ppf(tail, c_num, trials - c_num + 1)
+    hi = beta_dist.ppf(1.0 - tail, c_den + 1, trials - c_den)
+    return math.log(lo / hi)
+
+
+def test_audit_splits_its_confidence_over_the_events():
+    """One event is audited at the 95 % level itself; with more events each
+    one's intervals widen so that the maximum over them holds at 95 %."""
+    sample, neighbor = _singleton(1, 1), _singleton(1, -1)
+    one = ("one", lambda out: out == 1)
+    zero = ("zero", lambda out: out == 0)
+    trials = 4000
+    alone = audit_dp(_randomized_response, sample, neighbor, [one], trials, NoiseSource(3))
+    ca, cb = (round(f * trials) for f in (alone.per_event[0].freq_a, alone.per_event[0].freq_b))
+    assert alone.eps_hat == pytest.approx(_eps_lower(ca, cb, trials, 0.95), rel=1e-12)
+
+    many = audit_dp(_randomized_response, sample, neighbor, [one, zero] + [one] * 8,
+                    trials, NoiseSource(3))
+    first = many.per_event[0]
+    assert (first.freq_a, first.freq_b) == (alone.per_event[0].freq_a, alone.per_event[0].freq_b)
+    assert first.eps_hat == pytest.approx(_eps_lower(ca, cb, trials, 1 - 0.05 / 10), rel=1e-12)
+    assert first.eps_hat < alone.eps_hat
+    assert many.eps_hat < alone.eps_hat
 
 
 def test_audit_structural_draw_on_a_later_trial_raises():
