@@ -134,8 +134,12 @@ class ThresholdClass:
         queries = tuple(queries)  # no copy for a tuple, so a repeated tuple hits by identity
         cached = self._query_cuts_of
         if cached is None or (cached[0] is not queries and cached[0] != queries):
-            floors = np.unique(np.floor([q[0] for q in queries])).tolist()
-            cached = self._query_cuts_of = (queries, [int(f) + 1 for f in floors])
+            floors = np.unique(np.floor(np.fromiter((q[0] for q in queries), float, len(queries))))
+            if np.abs(floors).max(initial=0.0) < 2.0**62:  # exact in int64; false for nan
+                cuts = (floors.astype(np.int64) + 1).tolist()
+            else:  # beyond int64, or not finite: int() is exact, or raises
+                cuts = [int(f) + 1 for f in floors.tolist()]
+            cached = self._query_cuts_of = (queries, cuts)
         return cached[1]
 
     def erm_blocks(self, constraints: tuple[Constraint, ...], blocks: ThresholdBlocks) -> list[int]:

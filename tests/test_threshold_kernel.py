@@ -100,6 +100,33 @@ def test_pattern_count_matches_scalar_count(size, queries, others, constraints):
         assert len(concept.pattern_set(constraints, qs)) == want
 
 
+@given(queries=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       constraints=st.lists(st.tuples(st.integers(-3, 203).map(lambda x: (float(x),)),
+                                      st.sampled_from([1, -1])), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_query_cuts_match_scalar_cuts(queries, constraints):
+    """Any finite floats: off-grid, negative, and huge ones beyond int64."""
+    concept = ThresholdClass(200)
+    constraints = tuple(constraints)
+    qs = tuple((q,) for q in queries)
+    cuts = concept._query_cuts(qs)
+    want = oracle.query_cuts(qs)
+    assert cuts == want and all(type(c) is int for c in cuts)
+    count = oracle.pattern_count(concept, constraints, qs)
+    assert concept.pattern_count(constraints, qs) == len(concept.pattern_set(constraints, qs)) == count
+
+
+@pytest.mark.parametrize("bad, error", [(float("inf"), OverflowError),
+                                        (float("-inf"), OverflowError),
+                                        (float("nan"), ValueError)])
+def test_query_cuts_reject_non_finite_queries_as_before(bad, error):
+    qs = ((1.5,), (bad,), (2.0**70,))
+    with pytest.raises(error):
+        oracle.query_cuts(qs)
+    with pytest.raises(error):
+        ThresholdClass(8)._query_cuts(qs)
+
+
 def test_pattern_count_through_the_version_space():
     concept = ThresholdClass(64)
     queries = tuple((float(x),) for x in (3, 3, 9, 17.5, 40, 64, 70))

@@ -1,10 +1,11 @@
-"""Scalar reference for the threshold ERM, pattern counting and the
-van der Corput stream.
+"""Scalar reference for the threshold ERM, pattern counting, the query cuts
+and the van der Corput stream.
 
 These are the per-point loops that ``ThresholdClass.erm``,
-``ThresholdClass.pattern_count`` and ``adversaries.van_der_corput_queries``
-used before they were batched, kept as the oracle: the batched code must
-return the same integer thresholds, counts and point lists.
+``ThresholdClass.pattern_count``, ``ThresholdClass._query_cuts`` and
+``adversaries.van_der_corput_queries`` used before they were batched, kept as
+the oracle: the batched code must return the same integer thresholds, counts,
+cuts and point lists.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def pattern_count(concept: ThresholdClass, constraints, queries) -> int:
         return 0
     cuts = {int(math.floor(q[0])) + 1 for q in queries}
     return 1 + sum(1 for c in cuts if lo < c <= hi)
+
+
+def query_cuts(queries) -> list:
+    """Sorted distinct cuts floor(q) + 1, one Python int per distinct floor."""
+    floors = np.unique(np.floor([q[0] for q in queries])).tolist()
+    return [int(f) + 1 for f in floors]
 
 
 def van_der_corput_queries(count: int, grid_size: int) -> list:
