@@ -135,9 +135,9 @@ class ThresholdClass:
         cached = self._query_cuts_of
         if cached is None or (cached[0] is not queries and cached[0] != queries):
             floors = np.unique(np.floor(np.fromiter((q[0] for q in queries), float, len(queries))))
-            if np.abs(floors).max(initial=0.0) < 2.0**62:  # exact in int64; false for nan
+            if np.abs(floors).max(initial=0.0) < 2.0**62:  # fits int64; false for nan
                 cuts = (floors.astype(np.int64) + 1).tolist()
-            else:  # beyond int64, or not finite: int() is exact, or raises
+            else:  # int() is exact beyond int64, and raises on inf and nan
                 cuts = [int(f) + 1 for f in floors.tolist()]
             cached = self._query_cuts_of = (queries, cuts)
         return cached[1]

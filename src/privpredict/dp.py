@@ -182,16 +182,12 @@ def compose_tight(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, flo
 # Empirical privacy auditing
 # ---------------------------------------------------------------------------
 
-# A mechanism draws its noise from the source it is handed and must not call
-# ``child()`` on it: ``audit_dp`` hands every trial of a side the same source,
-# so a child would replay one stream for every trial.
+# A mechanism draws from the source it is handed and never calls ``child()``
+# on it: every trial of a side gets that source, so a child would replay it.
 Mechanism = Callable[[LabeledSample, NoiseSource], Hashable]
 Event = Callable[[Hashable], bool]
 
-# Confidence of the reported maximum over events.  Each event's two-sided
-# Clopper-Pearson intervals are taken at 1 - (1 - AUDIT_CONFIDENCE)/|events|
-# (a Bonferroni split), so the maximum over all of them holds at this level.
-AUDIT_CONFIDENCE = 0.95
+AUDIT_CONFIDENCE = 0.95  # of the max over events; each event gets a Bonferroni share
 
 
 @dataclass(frozen=True)
@@ -231,9 +227,8 @@ def _clopper_pearson(count: int, trials: int, confidence: float) -> tuple[float,
     return lo, hi
 
 
-def _one_direction(
-    c_num: int, c_den: int, trials: int, delta: float, confidence: float
-) -> tuple[float, bool]:
+def _one_direction(c_num: int, c_den: int, trials: int, delta: float,
+                   confidence: float) -> tuple[float, bool]:
     """Lower confidence estimate of ln((p_num - delta) / p_den); inf flags divergence."""
     num_lo, _ = _clopper_pearson(c_num, trials, confidence)
     _, den_hi = _clopper_pearson(c_den, trials, confidence)
@@ -260,17 +255,12 @@ def audit_dp(
 
     Runs the mechanism ``trials`` times per side, then for every named event
     compares Clopper-Pearson adjusted frequencies in both directions with the
-    additive delta correction.  The reported eps_hat is the max over events;
-    each event's intervals take an equal share of ``1 - AUDIT_CONFIDENCE``, so
-    the max is a lower estimate at ``AUDIT_CONFIDENCE``.
+    additive delta correction.  The reported eps_hat, the max over events, holds
+    at ``AUDIT_CONFIDENCE``: each event's intervals take a Bonferroni share.
 
-    Each side has one noise source, ``noise.child(0)`` for ``sample`` and
-    ``noise.child(1)`` for ``sample_neighbor``, and every trial of that side
-    draws on from where the previous one stopped.  So the mechanism must draw
-    from the source it is given and must not call ``child()`` on it: a child
-    would replay one stream for every trial.  A structural draw
-    (``permutation``, ``rng``) after the first trial's noise raises
-    ``UsageError``.
+    Every trial of a side draws on from one source, ``noise.child(0)`` or
+    ``(1)``: the mechanism must not call ``child()`` on it, which would replay
+    one stream for every trial.
     """
     if trials < 1000:
         raise ConfigurationError("auditing below 10^3 trials is too noisy to report")

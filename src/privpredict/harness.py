@@ -368,14 +368,12 @@ class AuditToy:
     def mechanism(self, scale_factor: float = 1.0):
         """The vote/threshold channel of a prediction run with top budget zero.
 
-        Equivalent to the full loop with singleton blocks, from the point where
-        ``run`` has drawn its partition: vote counts are permutation invariant,
-        and each vote is answered by ``answer_query``, the step ``run`` uses.
-        So the vote counts of every round depend on the sample alone, and are
-        computed once per sample.  A transcript draws ``bt_init`` and every
-        answer straight from the ``noise`` it is handed, so consecutive calls
-        on one source continue its stream; ``audit_dp`` hands every trial of
-        a side the same source.
+        Equivalent to the full loop with singleton blocks after its partition
+        draw: vote counts are permutation invariant, and each vote is answered
+        by ``answer_query``, the step ``run`` uses.  So the vote counts of every
+        round depend on the sample alone, and are computed once per sample.
+        ``bt_init`` and every answer draw straight from ``noise``, so calls on
+        one source continue its stream.
         """
         params = self.params(scale_factor)
         stream = self.stream()
