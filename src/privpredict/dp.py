@@ -258,9 +258,9 @@ def audit_dp(
     additive delta correction.  The reported eps_hat, the max over events, holds
     at ``AUDIT_CONFIDENCE``: each event's intervals take a Bonferroni share.
 
-    Every trial of a side draws on from one source, ``noise.child(0)`` or
-    ``(1)``: the mechanism must not call ``child()`` on it, which would replay
-    one stream for every trial.
+    Each side's trials all draw from one source, ``noise.child(0)`` or
+    ``noise.child(1)``, so the mechanism must not call ``child()`` on it: that
+    would replay one stream for every trial.
     """
     if trials < 1000:
         raise ConfigurationError("auditing below 10^3 trials is too noisy to report")
