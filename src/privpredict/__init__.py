@@ -22,7 +22,6 @@ from .core import (
 from .concepts import (
     EnumeratedClass,
     ThresholdClass,
-    ThresholdHypothesis,
     VersionSpace,
     load_enumerated_class,
 )

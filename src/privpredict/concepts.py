@@ -1,13 +1,15 @@
-"""Concept classes and version spaces: evaluation, ERM, restriction by labeled
-constraints, and label-pattern counting over fixed query tuples; and the block
-ensembles that vote.
+"""Concept classes, version spaces and the block ensembles that vote.
 
 Two classes are supported: integer-grid thresholds and finite enumerated
-classes.  Version spaces are kept intensionally as constraint lists; only
-enumerated classes materialize their hypothesis set.  Halfspace blocks are fit
-by ``geometry.argmax_cdepth_blocks`` and vote as a ``HalfspaceEnsemble``.
+classes.  A version space is a class plus ordered (point, label) constraints.
+Halfspace blocks are fit by ``geometry.argmax_cdepth_blocks``.
 
-An ensemble is the k block hypotheses of one refresh.  Each ensemble type has
+Hypotheses exist only as ensemble rows.  Every class fits all k blocks in one
+batched ERM: ``blocks(points, labels)`` lays out (k, m) labels and m points
+per block once, ``erm_blocks(constraints, layout)`` returns one int per block
+(a threshold, or a pattern row), and ``ensemble`` wraps those ints.
+
+An ensemble is the k block fits of one refresh.  Each ensemble type has
 ``vote(x)``, the number of blocks that label x +1; ``votes(points)``, those
 counts for many points; ``labels(points)``, the (k x n) array of +/-1 labels;
 and ``payload()``, the report's ``final_hypotheses``.
@@ -37,67 +39,31 @@ from .core import (
 Constraint = tuple[Point, int]
 
 
-@dataclass(frozen=True)
-class ThresholdHypothesis:
-    """x -> +1 iff x >= threshold, over one-dimensional points."""
-
-    threshold: int
-
-    def evaluate(self, p: Point) -> int:
-        if len(p) != 1:
-            raise UsageError("threshold hypotheses act on 1-dimensional points")
-        return POSITIVE if p[0] >= self.threshold else NEGATIVE
-
-
-@dataclass(frozen=True)
-class EnumeratedHypothesis:
-    """One row of an enumerated class's pattern matrix, defined on its point set."""
-
-    index: int
-    points: tuple[Point, ...]
-    row: tuple[int, ...]
-
-    def evaluate(self, p: Point) -> int:
-        try:
-            return self.row[self.points.index(tuple(float(c) for c in p))]
-        except ValueError:
-            raise UsageError(f"point {p!r} is outside the enumerated class's domain") from None
-
-
-Hypothesis = ThresholdHypothesis | EnumeratedHypothesis
-
-
 class ThresholdBlocks:
-    """Fixed 1-d samples laid out once for repeated batched threshold ERM.
+    """k equal-size 1-d blocks laid out once for repeated batched threshold ERM.
 
-    Row i holds block i sorted by floor(x), padded to the longest block.  Only
-    integer thresholds are candidates, and x < t exactly when floor(x) < t, so
-    floors clipped to [0, size + 1] give every candidate's count unchanged.
-    ``cut_err[i, j]`` is block i's error at the cut floor(x_j) + 1, which does
-    not depend on the constraints.  Padding is a +1 point at size + 1: it is
-    never wrong, and its cut size + 2 is never a candidate.
+    Row i holds block i sorted by floor(x).  Only integer thresholds are
+    candidates, and x < t exactly when floor(x) < t, so floors clipped to
+    [0, size + 1] give every candidate's count unchanged.  ``cut_err[i, j]`` is
+    block i's error at the cut floor(x_j) + 1, which does not depend on the
+    constraints.
     """
 
-    def __init__(self, samples, size: int):
-        k, width = len(samples), max((len(s) for s in samples), default=0)
-        floors = np.full((k, width), np.inf)
-        positive = np.ones((k, width), dtype=bool)
-        for i, sample in enumerate(samples):
-            floors[i, : len(sample)] = sample.points.ravel()  # one coordinate per point
-            positive[i, : len(sample)] = sample.labels == POSITIVE
-        floors = np.clip(np.floor(floors), 0, size + 1)
+    def __init__(self, points: np.ndarray, labels: np.ndarray, size: int):
+        k, m = labels.shape
+        floors = np.clip(np.floor(points.reshape(labels.shape)), 0, size + 1)  # one coordinate per point
         order = np.argsort(floors, axis=1, kind="stable")
         self.floors = np.take_along_axis(floors, order, axis=1)
-        self.positive = np.take_along_axis(positive, order, axis=1)
+        self.positive = np.take_along_axis(labels == POSITIVE, order, axis=1)
         self.cuts = self.floors.astype(np.int64) + 1
         # below[i, j]: points of block i with x < cut[i, j], i.e. the end of j's run of equal floors
-        run_end = np.ones((k, width), dtype=bool)
+        run_end = np.ones((k, m), dtype=bool)
         run_end[:, :-1] = self.floors[:, 1:] != self.floors[:, :-1]
-        ends = np.where(run_end, np.arange(1, width + 1), width)
+        ends = np.where(run_end, np.arange(1, m + 1), m)
         below = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
         pos_below = np.take_along_axis(
             np.hstack([np.zeros((k, 1), dtype=np.int64), np.cumsum(self.positive, axis=1)]), below, axis=1)
-        n_neg = width - np.count_nonzero(self.positive, axis=1)
+        n_neg = m - np.count_nonzero(self.positive, axis=1)
         # err(t) = #{+1 points < t} + #{-1 points >= t}
         self.cut_err = pos_below + n_neg[:, None] - (below - pos_below)
 
@@ -142,6 +108,9 @@ class ThresholdClass:
             cached = self._query_cuts_of = (queries, cuts)
         return cached[1]
 
+    def blocks(self, points: np.ndarray, labels: np.ndarray) -> ThresholdBlocks:
+        return ThresholdBlocks(points, labels, self.size)
+
     def erm_blocks(self, constraints: tuple[Constraint, ...], blocks: ThresholdBlocks) -> list[int]:
         """ERM threshold of every block at once.
 
@@ -153,15 +122,15 @@ class ThresholdClass:
         if lo > hi:
             raise EmptyVersionSpaceError("no threshold satisfies the constraints")
         inside = (blocks.cuts > lo) & (blocks.cuts <= hi)
-        k, width = inside.shape
+        k, m = inside.shape
         candidates = np.hstack([np.full((k, 1), lo), np.where(inside, blocks.cuts, lo)])
         err_lo = np.count_nonzero((blocks.floors < lo) == blocks.positive, axis=1)
-        errors = np.hstack([err_lo[:, None], np.where(inside, blocks.cut_err, width + 1)])
+        errors = np.hstack([err_lo[:, None], np.where(inside, blocks.cut_err, m + 1)])
         best = np.argmin(errors, axis=1)
         return candidates[np.arange(k), best].tolist()
 
-    def erm(self, constraints: tuple[Constraint, ...], sample: LabeledSample) -> ThresholdHypothesis:
-        return ThresholdHypothesis(self.erm_blocks(constraints, ThresholdBlocks([sample], self.size))[0])
+    def ensemble(self, thresholds: list[int]) -> "ThresholdEnsemble":
+        return ThresholdEnsemble(thresholds)
 
     def pattern_count(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> int:
         lo, hi = self._interval(constraints)
@@ -170,25 +139,8 @@ class ThresholdClass:
         cuts = self._query_cuts(queries)
         return 1 + bisect.bisect_right(cuts, hi) - bisect.bisect_right(cuts, lo)
 
-    def pattern_set(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> set[tuple[int, ...]]:
-        """Explicit label tuples, materialized from one threshold per pattern cell."""
-        if len(queries) > 4096:
-            raise CapabilityError("explicit pattern sets are materialized only at desk scale")
-        lo, hi = self._interval(constraints)
-        if lo > hi:
-            return set()
-        cuts = self._query_cuts(queries)
-        reps = [lo] + cuts[bisect.bisect_right(cuts, lo) : bisect.bisect_right(cuts, hi)]
-        return {
-            tuple(POSITIVE if q[0] >= t else NEGATIVE for q in queries) for t in reps
-        }
-
     def vc_dimension(self) -> int:
         return 1
-
-    def hypotheses(self, constraints: tuple[Constraint, ...] = ()):
-        lo, hi = self._interval(constraints)
-        return [ThresholdHypothesis(t) for t in range(lo, hi + 1)]
 
 
 class EnumeratedClass:
@@ -217,16 +169,27 @@ class EnumeratedClass:
             mask &= self.patterns[:, self._col(p)] == lab
         return np.flatnonzero(mask)
 
-    def hypothesis(self, index: int) -> EnumeratedHypothesis:
-        return EnumeratedHypothesis(index, self.points, tuple(int(v) for v in self.patterns[index]))
+    def blocks(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The (points x k) matrix S of k blocks: S[c, i] sums block i's labels at column c."""
+        k, m = labels.shape
+        cols = [self._col(p) for p in points.reshape(k * m, points.shape[-1]).tolist()]
+        sums = np.zeros((len(self.points), k), dtype=np.int64)
+        np.add.at(sums, (cols, np.repeat(np.arange(k), m)), labels.ravel())
+        return sums
 
-    def erm(self, constraints: tuple[Constraint, ...], sample: LabeledSample) -> EnumeratedHypothesis:
+    def erm_blocks(self, constraints: tuple[Constraint, ...], sums: np.ndarray) -> list[int]:
+        """ERM row of every block at once.
+
+        A row's agreement with block i is ``patterns[row] @ S[:, i]`` = m - 2 * error,
+        so the first row of greatest agreement is the lowest-index least-error row.
+        """
         rows = self._surviving(constraints)
         if len(rows) == 0:
-            raise EmptyVersionSpaceError("all enumerated hypotheses are ruled out")
-        cols = [self._col(p) for p in sample.points]
-        errors = (self.patterns[np.ix_(rows, cols)] != sample.labels).sum(axis=1)
-        return self.hypothesis(int(rows[int(np.argmin(errors))]))  # argmin keeps lowest index on ties
+            raise EmptyVersionSpaceError("every pattern row is ruled out")
+        return rows[np.argmax(self.patterns[rows] @ sums, axis=0)].tolist()
+
+    def ensemble(self, rows: list[int]) -> "EnumeratedEnsemble":
+        return EnumeratedEnsemble(self, rows)
 
     def pattern_count(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> int:
         rows = self._surviving(constraints)
@@ -235,11 +198,6 @@ class EnumeratedClass:
         cols = [self._col(p) for p in queries]
         sub = self.patterns[np.ix_(rows, cols)]
         return len(np.unique(sub, axis=0))
-
-    def pattern_set(self, constraints: tuple[Constraint, ...], queries: list[Point]) -> set[tuple[int, ...]]:
-        rows = self._surviving(constraints)
-        cols = [self._col(p) for p in queries]
-        return {tuple(int(v) for v in row) for row in self.patterns[np.ix_(rows, cols)]}
 
     def vc_dimension(self) -> int:
         n_points = len(self.points)
@@ -257,9 +215,6 @@ class EnumeratedClass:
             else:
                 break
         return best
-
-    def hypotheses(self, constraints: tuple[Constraint, ...] = ()):
-        return [self.hypothesis(int(i)) for i in self._surviving(constraints)]
 
 
 class ThresholdEnsemble:
@@ -370,14 +325,13 @@ class VersionSpace:
     def drop_newest(self) -> "VersionSpace":
         return VersionSpace(self.concept_class, self.constraints[:-1])
 
-    def erm(self, sample: LabeledSample) -> Hypothesis:
-        return self.concept_class.erm(self.constraints, sample)
+    def erm(self, sample: LabeledSample) -> int:
+        """The ERM threshold or row of one sample, as ``erm_blocks`` fits a block."""
+        cls = self.concept_class
+        return cls.erm_blocks(self.constraints, cls.blocks(sample.points, sample.labels[None]))[0]
 
     def pattern_count(self, queries) -> int:
         return self.concept_class.pattern_count(self.constraints, tuple(queries))
-
-    def pattern_set(self, queries) -> set[tuple[int, ...]]:
-        return self.concept_class.pattern_set(self.constraints, tuple(queries))
 
 
 def load_enumerated_class(path) -> EnumeratedClass:

@@ -274,24 +274,16 @@ class BoxDistribution:
             raise ConfigurationError("box must have positive volume")
         if not any(c != 0.0 for c in self.normal):
             raise ConfigurationError("target normal must be nonzero")
-        # converted once, so that each label converts only the query point
+        # converted once, so that each call converts only the query points
         object.__setattr__(self, "_normal", np.asarray(self.normal, dtype=float))
-        object.__setattr__(self, "_normal_list", self._normal.tolist())
 
     def label(self, p: Point) -> int:
-        """+1 iff np.dot(normal, p) >= offset, as numpy rounds the product.
-
-        ``certain_sign`` decides the comparison in Python floats wherever no
-        rounding can flip it; the rest take numpy's product itself.
-        """
-        sign = certain_sign(self._normal_list, p, self.offset)
-        if sign:
-            return sign
-        return POSITIVE if float(np.dot(self._normal, p)) >= self.offset else NEGATIVE
+        """+1 iff np.dot(normal, p) >= offset, as numpy rounds the product."""
+        return int(self.labels([p])[0])
 
     def labels(self, points) -> np.ndarray:
         """``label`` of every row: a stack of (1 x d) @ (d x 1) products runs
-        the kernel of ``label``'s ``np.dot``, so it rounds each one the same."""
+        the kernel of ``np.dot(normal, p)``, so it rounds each one the same."""
         pts = np.asarray(points, dtype=float)
         products = np.matmul(pts[:, None, :], self._normal[:, None])[:, 0, 0]
         return np.where(products >= self.offset, POSITIVE, NEGATIVE)
@@ -345,17 +337,19 @@ def draw_sample(dist: DataDistribution, n: int, noise: NoiseSource) -> LabeledSa
     return LabeledSample(pts, dist.labels(pts))
 
 
-def partition(sample: LabeledSample, k: int, noise: NoiseSource) -> list[LabeledSample]:
-    """Uniform random partition into k equal blocks via a seeded index shuffle."""
+def partition(sample: LabeledSample, k: int, noise: NoiseSource) -> np.ndarray:
+    """Uniform random partition into k equal blocks via a seeded index shuffle:
+    the (k, n / k) index matrix whose row i is block i, so ``sample.points[order]``
+    gathers every block at once from the already-validated sample."""
     n = len(sample)
     if k < 1 or n % k != 0:
         raise ConfigurationError(f"|S|={n} is not divisible into k={k} equal blocks")
-    order = noise.permutation(n).reshape(k, n // k)
-    return [LabeledSample(sample.points[idx], sample.labels[idx]) for idx in order]
+    return noise.permutation(n).reshape(k, n // k)
 
 
 def empirical_error(hypothesis, sample: LabeledSample) -> float:
-    """Exact misclassified fraction of ``hypothesis`` (anything with ``evaluate(point)``)."""
+    """Exact misclassified fraction of ``hypothesis`` (anything with ``evaluate(point)``).
+    No run calls it; it stays because the benchmark's tracer wraps it by name."""
     if len(sample) == 0:
         raise UsageError("empirical error is undefined on an empty sample")
     wrong = sum(1 for p, lab in zip(sample.points, sample.labels) if hypothesis.evaluate(p) != lab)

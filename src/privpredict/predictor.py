@@ -16,16 +16,7 @@ from typing import Any
 import numpy as np
 
 from . import geometry
-from .concepts import (
-    ConceptClass,
-    EnumeratedEnsemble,
-    Ensemble,
-    HalfspaceEnsemble,
-    ThresholdBlocks,
-    ThresholdClass,
-    ThresholdEnsemble,
-    VersionSpace,
-)
+from .concepts import ConceptClass, Ensemble, HalfspaceEnsemble, VersionSpace
 from .core import (
     ConfigurationError,
     EmptyVersionSpaceError,
@@ -87,28 +78,24 @@ def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> in
 
 
 class _ObliviousGenerator:
-    """Shared version space + per-block ERM; hypotheses change only on top rounds.
+    """Shared version space + per-block ERM; the ensemble changes only on top rounds.
 
-    Threshold blocks are laid out once and refit in one batched ERM pass.
-    """
+    The class lays out the (k, m) labels and m points per block once, and
+    refits every block in one batched ERM pass."""
 
-    def __init__(self, concept: ConceptClass, blocks: list[LabeledSample]):
+    def __init__(self, concept: ConceptClass, points: np.ndarray, labels: np.ndarray):
         self.concept = concept
-        self.blocks = blocks
+        self.k = len(labels)
         self.space = VersionSpace(concept)
-        self._threshold_blocks = (
-            ThresholdBlocks(blocks, concept.size) if isinstance(concept, ThresholdClass) else None
-        )
+        self._layout = concept.blocks(points, labels)
         self._ensemble: Ensemble | None = None
         self.degenerate = False
 
     def _erm(self) -> Ensemble:
-        if self._threshold_blocks is None:
-            return EnumeratedEnsemble(self.concept, [self.space.erm(block).index for block in self.blocks])
-        return ThresholdEnsemble(self.concept.erm_blocks(self.space.constraints, self._threshold_blocks))
+        return self.concept.ensemble(self.concept.erm_blocks(self.space.constraints, self._layout))
 
     def refresh(self) -> list[int]:
-        """(Re)compute all block hypotheses; returns indices of dropped constraints."""
+        """Refit every block; returns the indices of dropped constraints."""
         dropped: list[int] = []
         while True:
             try:
@@ -130,7 +117,7 @@ class _ObliviousGenerator:
         return self._ensemble
 
     def vote(self, x: Point) -> float:
-        return self._ensemble.vote(x) / len(self.blocks)
+        return self._ensemble.vote(x) / self.k
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         before = self.space.pattern_count(full_queries) if full_queries else None
@@ -147,16 +134,15 @@ class _ObliviousGenerator:
 
 class _HalfspaceGenerator:
     """Shared feasible subspace + per-block constraint stacks; all blocks refit to
-    their depth argmax in one batched kernel pass."""
+    their depth argmax in one batched kernel pass.  ``points`` is (k, m, d),
+    ``labels`` (k, m)."""
 
-    def __init__(self, d: int, blocks: list[LabeledSample]):
+    def __init__(self, d: int, points: np.ndarray, labels: np.ndarray):
         self.d = d
-        self.blocks = blocks
+        self.k = len(labels)
         self.space = geometry.FeasibleSubspace.full(d + 1)
         # lab * (x, -1), as geometry.to_constraint forms it; a product with
         # +-1 is exact
-        points = np.stack([blk.points for blk in blocks])
-        labels = np.stack([blk.labels for blk in blocks])
         lifted = np.concatenate([points, np.full((*points.shape[:2], 1), -1.0)], axis=2)
         self.normals = labels[:, :, None] * lifted
         self._ensemble: HalfspaceEnsemble | None = None
@@ -189,7 +175,7 @@ class _HalfspaceGenerator:
         return list(self._values)
 
     def vote(self, x: Point) -> float:
-        return self._ensemble.vote(x) / len(self.blocks)
+        return self._ensemble.vote(x) / self.k
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         normal = np.asarray(tuple(x) + (-1.0,))
@@ -272,14 +258,15 @@ def run(
     params = spec.bt_params()
     mech_noise = noise.child(0)
     adv_noise = noise.child(1)
-    blocks = partition(sample, spec.k, mech_noise)
+    order = partition(sample, spec.k, mech_noise)
+    points, labels = sample.points[order], sample.labels[order]
 
     if spec.generator == "oblivious":
         if concept is None:
             raise ConfigurationError("oblivious runs need a concept class")
-        generator = _ObliviousGenerator(concept, blocks)
+        generator = _ObliviousGenerator(concept, points, labels)
     elif spec.generator == "halfspace":
-        generator = _HalfspaceGenerator(sample.dimension, blocks)
+        generator = _HalfspaceGenerator(sample.dimension, points, labels)
     else:
         raise ConfigurationError(f"unknown generator {spec.generator!r}")
 
@@ -314,8 +301,6 @@ def run(
         entry = {"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q}
         report.rounds.append(entry)
         history.append((x, label))
-        if target is not None and target.label(x) != label:
-            report.wrong_predictions += 1
         if outcome is _TOP:
             ledger.append(spec.bt_eps, spec.bt_delta)
             report.top_count += 1
@@ -331,6 +316,9 @@ def run(
 
     if stale:
         refresh(spec.t_rounds + 1)
+    if target is not None and history:
+        report.wrong_predictions = int(np.count_nonzero(
+            target.labels([x for x, _ in history]) != report.labels()))
     report.degenerate = generator.degenerate
     report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
     report.ensemble = generator.ensemble

@@ -47,8 +47,8 @@ NEVER_CALLED = {
     "geometry.argmax_cdepth",
     "geometry.arrangement_candidates",
     "DepthProfile.depths",
-    # threshold blocks refit through ThresholdClass.erm_blocks; only the
-    # enumerated path, which no workload uses, calls VersionSpace.erm
+    # every concept class refits all its blocks through erm_blocks; the
+    # one-sample VersionSpace.erm has no caller in a run
     "VersionSpace.erm",
     # run_trial serializes through to_payload; the JSON is built by the caller
     "RunReport.to_json",

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enumerated_oracle
+import threshold_oracle
 from privpredict.concepts import (
     EnumeratedClass,
     HalfspaceEnsemble,
     ThresholdClass,
-    ThresholdHypothesis,
     VersionSpace,
     load_enumerated_class,
 )
@@ -18,7 +19,9 @@ from privpredict.core import (
     EmptyVersionSpaceError,
     LabeledSample,
     UsageError,
+    empirical_error,
 )
+from threshold_oracle import ThresholdHypothesis
 
 
 def grid_sample(pairs):
@@ -44,10 +47,10 @@ def test_evaluate_examples():
 def test_restrict_thresholds_interval():
     tc = ThresholdClass(10)
     vs = VersionSpace(tc).restrict((5.0,), 1)
-    remaining = [h.threshold for h in tc.hypotheses(vs.constraints)]
+    remaining = [h.threshold for h in threshold_oracle.hypotheses(tc, vs.constraints)]
     assert remaining == [1, 2, 3, 4, 5]
     contradiction = vs.restrict((5.0,), -1)
-    assert tc.hypotheses(contradiction.constraints) == []
+    assert threshold_oracle.hypotheses(tc, contradiction.constraints) == []
     assert contradiction.pattern_count([(3.0,)]) == 0
     with pytest.raises(EmptyVersionSpaceError):
         contradiction.erm(grid_sample([(3, 1)]))
@@ -56,9 +59,9 @@ def test_restrict_thresholds_interval():
 def test_restrict_enumerated_brute_force():
     cls = full_shatter_class(3)
     vs = VersionSpace(cls).restrict((1.0,), 1)
-    survivors = cls.hypotheses(vs.constraints)
+    survivors = enumerated_oracle.hypotheses(cls, vs.constraints)
     # independent filter over the materialized class
-    expected = [h for h in cls.hypotheses() if h.evaluate((1.0,)) == 1]
+    expected = [h for h in enumerated_oracle.hypotheses(cls) if h.evaluate((1.0,)) == 1]
     assert len(survivors) == 4
     assert {h.index for h in survivors} == {h.index for h in expected}
 
@@ -66,7 +69,7 @@ def test_restrict_enumerated_brute_force():
 def test_erm_realizable_returns_zero_error():
     tc = ThresholdClass(100)
     sample = grid_sample([(x, 1 if x >= 37 else -1) for x in range(1, 101, 7)])
-    h = VersionSpace(tc).erm(sample)
+    h = ThresholdHypothesis(VersionSpace(tc).erm(sample))
     assert all(h.evaluate(p) == lab for p, lab in sample.records())
 
 
@@ -74,7 +77,7 @@ def test_erm_restricted_matches_enumeration_oracle():
     tc = ThresholdClass(20)
     sample = grid_sample([(x, 1 if x >= 3 else -1) for x in range(1, 21)])
     vs = VersionSpace(tc).restrict((7.0,), -1)  # forces t >= 8
-    h = vs.erm(sample)
+    h = ThresholdHypothesis(vs.erm(sample))
     assert h.threshold == 8
     # brute force over every threshold in the restricted class
     def err(t):
@@ -83,8 +86,6 @@ def test_erm_restricted_matches_enumeration_oracle():
 
     best = min(range(8, 22), key=lambda t: (err(t), t))
     assert h.threshold == best
-    from privpredict.core import empirical_error
-
     assert empirical_error(h, sample) == err(8) / 20 == 5 / 20  # x in [3, 8)
 
 
@@ -94,7 +95,8 @@ def test_erm_singleton_and_empty():
     for p, lab in [((1.0,), 1), ((2.0,), -1), ((3.0,), 1)]:
         vs = vs.restrict(p, lab)
     sample = grid_sample([(1, -1), (2, -1), (3, -1)])
-    h = vs.erm(sample)  # single survivor wins regardless of the sample
+    # the single survivor wins regardless of the sample
+    h = enumerated_oracle.hypothesis(cls, vs.erm(sample))
     assert [h.evaluate((float(i),)) for i in (1, 2, 3)] == [1, -1, 1]
     with pytest.raises(EmptyVersionSpaceError):
         vs.restrict((1.0,), -1).erm(sample)
@@ -116,18 +118,19 @@ def test_pattern_set_agrees_with_count():
     tc = ThresholdClass(40)
     queries = [(float(x),) for x in (2, 7, 11, 23, 31)]
     vs = VersionSpace(tc).restrict((20.0,), 1)
-    explicit = vs.pattern_set(queries)
+    explicit = threshold_oracle.pattern_set(tc, vs.constraints, tuple(queries))
     assert len(explicit) == vs.pattern_count(queries)
     # every explicit pattern is induced by some surviving threshold
     for pattern in explicit:
         assert any(
             tuple(h.evaluate(q) for q in queries) == pattern
-            for h in tc.hypotheses(vs.constraints)
+            for h in threshold_oracle.hypotheses(tc, vs.constraints)
         )
     cls = full_shatter_class(3)
     vs2 = VersionSpace(cls).restrict((1.0,), -1)
     queries2 = [(1.0,), (2.0,), (3.0,)]
-    assert len(vs2.pattern_set(queries2)) == vs2.pattern_count(queries2) == 4
+    explicit2 = enumerated_oracle.pattern_set(cls, vs2.constraints, queries2)
+    assert len(explicit2) == vs2.pattern_count(queries2) == 4
 
 
 def test_pattern_count_random_class_matches_matrix_oracle():
@@ -181,15 +184,15 @@ def test_restrict_monotonicity_and_sauer(constraints):
 def test_erm_consistency_property():
     cls = full_shatter_class(3)
     sample = grid_sample([(1, 1), (2, -1), (3, -1)])
-    h = VersionSpace(cls).erm(sample)
+    h = enumerated_oracle.hypothesis(cls, VersionSpace(cls).erm(sample))
     assert all(h.evaluate(p) == lab for p, lab in sample.records())
 
 
 def test_membership_coherence_with_constraints():
     cls = full_shatter_class(3)
     vs = VersionSpace(cls).restrict((2.0,), 1).restrict((3.0,), -1)
-    survivors = cls.hypotheses(vs.constraints)
-    consistent = [h for h in cls.hypotheses() if all(h.evaluate(p) == lab for p, lab in vs.constraints)]
+    survivors = enumerated_oracle.hypotheses(cls, vs.constraints)
+    consistent = [h for h in enumerated_oracle.hypotheses(cls) if all(h.evaluate(p) == lab for p, lab in vs.constraints)]
     assert [h.index for h in survivors] == [h.index for h in consistent]
     assert len(survivors) == 2
     for h in survivors:
@@ -203,6 +206,61 @@ def test_enumerated_class_json_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     cls = load_enumerated_class(path)
     assert cls.points == ((1.0,), (2.0,), (3.0,))
-    assert cls.hypothesis(0).evaluate((3.0,)) == -1
+    assert enumerated_oracle.hypothesis(cls, 0).evaluate((3.0,)) == -1
     with pytest.raises(UsageError):
-        cls.hypothesis(0).evaluate((9.0,))
+        enumerated_oracle.hypothesis(cls, 0).evaluate((9.0,))
+
+
+@st.composite
+def enumerated_erm_cases(draw):
+    """A class of distinct random +/-1 rows, k equal-size blocks drawn from its
+    points with repeats, and random constraints.  A mirrored block holds each
+    of its points once with each label, so every row ties on it."""
+    d = draw(st.integers(1, 2))
+    n_points = draw(st.integers(1, 5))
+    points = [tuple(float(i + j) for j in range(d)) for i in range(n_points)]
+    all_rows = list(itertools.product((-1, 1), repeat=n_points))
+    patterns = draw(st.lists(st.sampled_from(all_rows), min_size=1, max_size=12, unique=True))
+    concept = EnumeratedClass(points, patterns)
+    k, half = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    cols, labels = [], []
+    for _ in range(k):
+        block = draw(st.lists(st.integers(0, n_points - 1), min_size=half, max_size=half))
+        if draw(st.booleans()):  # mirrored: a forced tie between all rows
+            cols.append(block + block)
+            labels.append([1] * half + [-1] * half)
+        else:
+            cols.append(draw(st.lists(st.integers(0, n_points - 1), min_size=2 * half, max_size=2 * half)))
+            labels.append(draw(st.lists(st.sampled_from([1, -1]), min_size=2 * half, max_size=2 * half)))
+    constraints = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from([1, -1])), max_size=3))
+    block_points = np.array([[points[c] for c in row] for row in cols], dtype=float).reshape(k, 2 * half, d)
+    return concept, tuple(constraints), block_points, np.array(labels, dtype=np.int8).reshape(k, 2 * half)
+
+
+@given(enumerated_erm_cases())
+@settings(max_examples=300, deadline=None)
+def test_enumerated_erm_blocks_match_per_block_oracle(case):
+    """The batched fit returns the per-block oracle's row for every block, as a
+    Python int, and raises where the oracle raises."""
+    concept, constraints, points, labels = case
+    samples = [LabeledSample(p, lab) for p, lab in zip(points, labels)]
+    if not len(concept._surviving(constraints)):
+        with pytest.raises(EmptyVersionSpaceError):
+            concept.erm_blocks(constraints, concept.blocks(points, labels))
+        with pytest.raises(EmptyVersionSpaceError):
+            enumerated_oracle.erm(concept, constraints, samples[0])
+        return
+    got = concept.erm_blocks(constraints, concept.blocks(points, labels))
+    assert got == [enumerated_oracle.erm(concept, constraints, s) for s in samples]
+    assert all(type(row) is int for row in got)
+    assert [VersionSpace(concept, constraints).erm(s) for s in samples] == got
+
+
+def test_enumerated_erm_ties_pick_the_lowest_row():
+    concept = full_shatter_class(2)  # rows (-1,-1), (-1,1), (1,-1), (1,1)
+    points = np.array([[[1.0], [1.0]], [[1.0], [2.0]]])
+    labels = np.array([[1, -1], [1, 1]], dtype=np.int8)
+    # block 0 sees point 1 once with each label, so every row makes one error
+    # and row 0 wins the tie; block 1 is fit exactly by row 3
+    assert concept.erm_blocks((), concept.blocks(points, labels)) == [0, 3]
+    assert concept.erm_blocks((((2.0,), -1),), concept.blocks(points, labels)) == [0, 2]

@@ -19,7 +19,7 @@ from privpredict.core import (
     empirical_error,
     partition,
 )
-from privpredict.concepts import ThresholdHypothesis
+from threshold_oracle import ThresholdHypothesis
 
 
 class _Negation:
@@ -70,18 +70,25 @@ def test_draw_sample_deterministic_per_seed():
     assert s1.labels.tobytes() == s2.labels.tobytes()
 
 
+def _block_records(sample, order):
+    """Block i of ``order`` as (point tuple, int label) pairs."""
+    return [LabeledSample(sample.points[row], sample.labels[row]).records() for row in order]
+
+
 def test_partition_sizes_and_union():
     sample = draw_sample(GridDistribution(64, 30), 4, NoiseSource(2))
-    blocks = partition(sample, 2, NoiseSource(3))
-    assert [len(b) for b in blocks] == [2, 2]
-    merged = sorted(sum((b.records() for b in blocks), []))
+    order = partition(sample, 2, NoiseSource(3))
+    assert order.shape == (2, 2)
+    assert np.array_equal(order, NoiseSource(3).permutation(4).reshape(2, 2))
+    merged = sorted(sum(_block_records(sample, order), []))
     assert merged == sorted(sample.records())
 
 
 def test_partition_identity_and_divisibility():
     sample = draw_sample(GridDistribution(64, 30), 6, NoiseSource(2))
     [only] = partition(sample, 1, NoiseSource(0))
-    assert sorted(only.records()) == sorted(sample.records())
+    assert np.array_equal(only, NoiseSource(0).permutation(6))
+    assert sorted(sample.records()) == sorted(_block_records(sample, [only])[0])
     odd = draw_sample(GridDistribution(64, 30), 5, NoiseSource(2))
     with pytest.raises(ConfigurationError):
         partition(odd, 2, NoiseSource(0))
@@ -91,8 +98,9 @@ def test_partition_identity_and_divisibility():
 @settings(max_examples=40, deadline=None)
 def test_partition_union_property(seed, k):
     sample = draw_sample(GridDistribution(256, 100), 12, NoiseSource(7))
-    blocks = partition(sample, k, NoiseSource(seed))
-    merged = sorted(sum((b.records() for b in blocks), []))
+    order = partition(sample, k, NoiseSource(seed))
+    assert np.array_equal(order, NoiseSource(seed).permutation(12).reshape(k, 12 // k))
+    merged = sorted(sum(_block_records(sample, order), []))
     assert merged == sorted(sample.records())
 
 

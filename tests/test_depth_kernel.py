@@ -22,17 +22,18 @@ from hypothesis import strategies as st
 
 import adversary_oracle
 import depth_oracle as oracle
+import enumerated_oracle
 from privpredict import geometry, harness, predictor
 from privpredict.concepts import (
     EnumeratedClass,
     EnumeratedEnsemble,
     HalfspaceEnsemble,
     ThresholdEnsemble,
-    ThresholdHypothesis,
 )
 from privpredict.core import CapabilityError, ConfigurationError, empirical_error
 from privpredict.geometry import DepthProfile, FeasibleSubspace
 from privpredict.harness import ExperimentConfig, run_trial
+from threshold_oracle import ThresholdHypothesis
 
 
 POINT_TOL = 1e-12  # max-abs difference of kernel and oracle points
@@ -572,7 +573,7 @@ def _enumerated_case(rng):
     concept = EnumeratedClass(domain, patterns)
     rows = rng.integers(0, len(patterns), size=rng.integers(1, 8)).tolist()
     points = [domain[i] for i in rng.integers(0, len(domain), size=12)]
-    expected = [[concept.hypothesis(r).evaluate(p) for p in points] for r in rows]
+    expected = [[enumerated_oracle.hypothesis(concept, r).evaluate(p) for p in points] for r in rows]
     return EnumeratedEnsemble(concept, rows), points, expected
 
 

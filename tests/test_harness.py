@@ -7,7 +7,7 @@ import pytest
 
 from privpredict import harness, predictor
 from privpredict.cli import main
-from privpredict.concepts import HalfspaceEnsemble, ThresholdEnsemble, ThresholdHypothesis
+from privpredict.concepts import HalfspaceEnsemble, ThresholdEnsemble
 from privpredict.core import (
     ConfigurationError,
     GridDistribution,
@@ -26,6 +26,7 @@ from privpredict.harness import (
 )
 from privpredict.predictor import RunSpec, run
 from privpredict.adversaries import ObliviousAdversary
+from threshold_oracle import ThresholdHypothesis
 
 
 def _small_config(tmp_path, **overrides):

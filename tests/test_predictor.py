@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from privpredict.adversaries import BoundaryProbeAdversary, ObliviousAdversary, OfflineAdversary, van_der_corput_queries
-from privpredict.concepts import EnumeratedClass, ThresholdClass, ThresholdHypothesis
+import enumerated_oracle
+from privpredict.concepts import EnumeratedClass, ThresholdClass
 from privpredict.core import (
     AtomDistribution,
     BoxDistribution,
@@ -27,6 +28,7 @@ from privpredict.predictor import (
     default_v_max,
     run,
 )
+from threshold_oracle import ThresholdHypothesis
 from zero_noise import ZeroNoise
 
 
@@ -216,12 +218,17 @@ def _thresholds(gen) -> list[ThresholdHypothesis]:
 
 
 def _rows(gen) -> list:
-    return [gen.concept.hypothesis(i) for i in gen.ensemble.rows]
+    return [enumerated_oracle.hypothesis(gen.concept, i) for i in gen.ensemble.rows]
+
+
+def _stacked(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-size blocks as the generators take them: (k, m, d) points and (k, m) labels."""
+    return np.stack([b.points for b in blocks]), np.stack([b.labels for b in blocks])
 
 
 def test_threshold_vote_fast_path_matches_generic():
     blocks = [draw_sample(GridDistribution(256, 100), 8, NoiseSource(i)) for i in range(5)]
-    gen = _ObliviousGenerator(ThresholdClass(256), blocks)
+    gen = _ObliviousGenerator(ThresholdClass(256), *_stacked(blocks))
     gen.refresh()
     assert len(set(gen.ensemble.thresholds)) > 1
     for x in ((0.0,), (1.0,), (99.0,), (100.0,), (101.0,), (256.0,), (300.0,)):
@@ -238,7 +245,7 @@ def test_enumerated_vote_matches_direct_count():
         idx = rng.choice(4, size=2, replace=False)
         blocks.append(LabeledSample(tuple(points[i] for i in idx),
                                     tuple(int(v) for v in rng.choice((-1, 1), size=2))))
-    gen = _ObliviousGenerator(cls, blocks)
+    gen = _ObliviousGenerator(cls, *_stacked(blocks))
     gen.refresh()
     assert len(set(gen.ensemble.rows)) > 2
     for x in points:
@@ -253,14 +260,14 @@ def test_enumerated_vote_matches_direct_count():
 
     # one point, one block per label: the ensemble splits evenly
     half = _ObliviousGenerator(EnumeratedClass([(1.0,)], [[-1], [1]]),
-                               [LabeledSample(((1.0,),), (1,)), LabeledSample(((1.0,),), (-1,))])
+                               np.array([[[1.0]], [[1.0]]]), np.array([[1], [-1]], dtype=np.int8))
     half.refresh()
     assert half.vote((1.0,)) == 0.5
 
 
 def test_oblivious_generator_fallback_flag():
     blocks = [draw_sample(GridDistribution(64, 30), 4, NoiseSource(i)) for i in range(3)]
-    gen = _ObliviousGenerator(ThresholdClass(64), blocks)
+    gen = _ObliviousGenerator(ThresholdClass(64), *_stacked(blocks))
     gen.refresh()
     gen.on_top((20.0,), 1, None)
     gen.on_top((20.0,), -1, None)  # contradiction
@@ -277,7 +284,7 @@ def test_halfspace_generator_base_case_and_hyperplane():
     labels = np.where(pts @ target[:2] - target[2] >= 0, 1, -1)
     sample = LabeledSample(tuple(map(tuple, pts)), tuple(int(v) for v in labels))
     blocks = [LabeledSample(sample.points[i::3], sample.labels[i::3]) for i in range(3)]
-    gen = _HalfspaceGenerator(2, blocks)
+    gen = _HalfspaceGenerator(2, *_stacked(blocks))
     stacked = [[to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
     assert gen.normals.tobytes() == np.array(stacked).tobytes()
     gen.refresh()
@@ -303,7 +310,7 @@ def test_halfspace_generator_rejects_non_finite_points():
     # reaches the generator
     with pytest.raises(ConfigurationError, match="finite"):
         blocks = [LabeledSample(((0.1, 0.2), (float("inf"), 0.0)), (1, -1))]
-        _HalfspaceGenerator(2, blocks)
+        _HalfspaceGenerator(2, *_stacked(blocks))
 
 
 def test_halfspace_cdepth_progression():

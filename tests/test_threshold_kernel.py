@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import threshold_oracle as oracle
 from privpredict.adversaries import van_der_corput_queries
-from privpredict.concepts import ThresholdBlocks, ThresholdClass, VersionSpace
+from privpredict.concepts import ThresholdClass, VersionSpace
 from privpredict.core import (
     AtomDistribution,
     BoxDistribution,
@@ -44,40 +44,43 @@ def threshold_cases(draw):
     size = draw(st.integers(1, 200))
     single = draw(st.sampled_from([None, 1, -1]))  # None: mixed labels
     labels = st.just(single) if single else st.sampled_from([1, -1])
-    blocks = draw(st.lists(
-        st.lists(st.tuples(coordinates(size), labels), max_size=12), min_size=1, max_size=6))
+    k, m = draw(st.integers(1, 6)), draw(st.integers(0, 12))  # m = 0: empty blocks
+    records = draw(st.lists(st.tuples(coordinates(size), labels), min_size=k * m, max_size=k * m))
     constraints = draw(st.lists(st.tuples(coordinates(size).map(lambda x: (x,)), st.sampled_from([1, -1])),
                                 max_size=4))
-    samples = [LabeledSample(tuple((x,) for x, _ in blk), tuple(lab for _, lab in blk)) for blk in blocks]
-    return ThresholdClass(size), tuple(constraints), samples
+    points = np.array([x for x, _ in records], dtype=float).reshape(k, m, 1)
+    return ThresholdClass(size), tuple(constraints), points, np.array([lab for _, lab in records]).reshape(k, m)
 
 
 @given(threshold_cases())
 @settings(max_examples=300, deadline=None)
 def test_erm_blocks_match_scalar_erm(case):
-    concept, constraints, samples = case
+    concept, constraints, points, labels = case
+    samples = [LabeledSample(p, lab) for p, lab in zip(points, labels)]
     lo, hi = concept._interval(constraints)
     if lo > hi:
         with pytest.raises(EmptyVersionSpaceError):
-            concept.erm_blocks(constraints, ThresholdBlocks(samples, concept.size))
+            concept.erm_blocks(constraints, concept.blocks(points, labels))
         with pytest.raises(EmptyVersionSpaceError):
             oracle.erm(concept, constraints, samples[0])
         return
     expected = [oracle.erm(concept, constraints, s) for s in samples]
-    got = concept.erm_blocks(constraints, ThresholdBlocks(samples, concept.size))
+    got = concept.erm_blocks(constraints, concept.blocks(points, labels))
     assert got == expected and all(type(t) is int for t in got)
-    assert [concept.erm(constraints, s).threshold for s in samples] == expected
+    assert [VersionSpace(concept, constraints).erm(s) for s in samples] == expected
     assert all(lo <= t <= hi for t in got)
+    if not labels.shape[1]:
+        assert got == [lo] * len(got)
 
 
 def test_erm_ties_pick_the_smallest_threshold():
     concept = ThresholdClass(10)
     # thresholds 3 and 6 both have error 1; lo = 1 has error 2
     sample = LabeledSample(((2.0,), (4.0,), (5.0,), (7.0,)), (-1, 1, -1, 1))
-    assert concept.erm((), sample).threshold == oracle.erm(concept, (), sample) == 3
-    # with lo = 4 the tie is between lo and the cut 6
-    empty = LabeledSample((), ())
-    assert concept.erm_blocks((((3.0,), -1),), ThresholdBlocks([empty, sample], concept.size)) == [4, 4]
+    assert VersionSpace(concept).erm(sample) == oracle.erm(concept, (), sample) == 3
+    # with lo = 4 the tie is between lo and the cut 6; an empty block takes lo
+    space = VersionSpace(concept).restrict((3.0,), -1)
+    assert space.erm(sample) == space.erm(LabeledSample((), ())) == 4
 
 
 @given(
@@ -97,7 +100,7 @@ def test_pattern_count_matches_scalar_count(size, queries, others, constraints):
     for qs in (first, first, second, list(first)):
         want = oracle.pattern_count(concept, constraints, qs)
         assert concept.pattern_count(constraints, qs) == want
-        assert len(concept.pattern_set(constraints, qs)) == want
+        assert len(oracle.pattern_set(concept, constraints, qs)) == want
 
 
 @given(queries=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
@@ -113,7 +116,7 @@ def test_query_cuts_match_scalar_cuts(queries, constraints):
     want = oracle.query_cuts(qs)
     assert cuts == want and all(type(c) is int for c in cuts)
     count = oracle.pattern_count(concept, constraints, qs)
-    assert concept.pattern_count(constraints, qs) == len(concept.pattern_set(constraints, qs)) == count
+    assert concept.pattern_count(constraints, qs) == len(oracle.pattern_set(concept, constraints, qs)) == count
 
 
 @pytest.mark.parametrize("bad, error", [(float("inf"), OverflowError),

@@ -1,21 +1,62 @@
 """Scalar reference for the threshold ERM, pattern counting, the query cuts
-and the van der Corput stream.
+and the van der Corput stream, and the scalar threshold hypothesis.
 
 These are the per-point loops that ``ThresholdClass.erm``,
 ``ThresholdClass.pattern_count``, ``ThresholdClass._query_cuts`` and
 ``adversaries.van_der_corput_queries`` used before they were batched, kept as
 the oracle: the batched code must return the same integer thresholds, counts,
-cuts and point lists.
+cuts and point lists.  ``ThresholdHypothesis``, ``hypotheses`` and
+``pattern_set`` are the class's former scalar evaluation, survivor list and
+explicit pattern set.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from privpredict.concepts import ThresholdClass
-from privpredict.core import NEGATIVE, POSITIVE, ConfigurationError, EmptyVersionSpaceError
+from privpredict.core import (
+    NEGATIVE,
+    POSITIVE,
+    CapabilityError,
+    ConfigurationError,
+    EmptyVersionSpaceError,
+    UsageError,
+)
+
+
+@dataclass(frozen=True)
+class ThresholdHypothesis:
+    """x -> +1 iff x >= threshold, over one-dimensional points."""
+
+    threshold: int
+
+    def evaluate(self, p) -> int:
+        if len(p) != 1:
+            raise UsageError("threshold hypotheses act on 1-dimensional points")
+        return POSITIVE if p[0] >= self.threshold else NEGATIVE
+
+
+def hypotheses(concept: ThresholdClass, constraints=()) -> list[ThresholdHypothesis]:
+    """Every threshold that satisfies the constraints, smallest first."""
+    lo, hi = concept._interval(constraints)
+    return [ThresholdHypothesis(t) for t in range(lo, hi + 1)]
+
+
+def pattern_set(concept: ThresholdClass, constraints, queries) -> set[tuple[int, ...]]:
+    """Explicit label tuples, materialized from one threshold per pattern cell."""
+    if len(queries) > 4096:
+        raise CapabilityError("explicit pattern sets are materialized only at desk scale")
+    lo, hi = concept._interval(constraints)
+    if lo > hi:
+        return set()
+    cuts = concept._query_cuts(queries)
+    reps = [lo] + cuts[bisect.bisect_right(cuts, lo) : bisect.bisect_right(cuts, hi)]
+    return {tuple(POSITIVE if q[0] >= t else NEGATIVE for q in queries) for t in reps}
 
 
 def erm(concept: ThresholdClass, constraints, sample) -> int:
