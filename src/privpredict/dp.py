@@ -9,8 +9,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
-from scipy.stats import beta as beta_dist
-
 from .core import (
     ConfigurationError,
     LabeledSample,
@@ -56,7 +54,8 @@ class BTParams:
 
     ``n`` is the size of the voting ensemble the queries are computed over, so
     each query has sensitivity 1/n.  Construction enforces the threshold-gap
-    precondition as a hard error rather than silently degrading delta.
+    precondition as a hard error rather than silently degrading delta, and
+    computes the two Laplace scales every instance of these parameters uses.
     """
 
     eps: float
@@ -65,6 +64,8 @@ class BTParams:
     t_lower: float = 0.375
     t_upper: float = 0.625
     max_queries: int = 1
+    query_scale: float = field(init=False, repr=False, compare=False)      # each query's noise
+    threshold_scale: float = field(init=False, repr=False, compare=False)  # the shared mu
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -84,6 +85,8 @@ class BTParams:
                 f"threshold gap {gap:.6g} is below the required "
                 f"(12/(eps*n))*(log(10/eps)+log(1/delta)+1) = {need:.6g}"
             )
+        object.__setattr__(self, "query_scale", 6.0 / (self.eps * self.n))
+        object.__setattr__(self, "threshold_scale", 2.0 / (self.eps * self.n))
 
 
 @dataclass
@@ -93,18 +96,15 @@ class BTState:
     params: BTParams
     noisy_lower: float
     noisy_upper: float
+    query_scale: float  # params.query_scale, one attribute lookup less per query
     halted: bool = False
     queries_answered: int = 0
-    query_scale: float = field(init=False)  # Laplace scale of each query's noise
-
-    def __post_init__(self):
-        self.query_scale = 6.0 / (self.params.eps * self.params.n)
 
 
 def bt_init(params: BTParams, noise: NoiseSource) -> BTState:
     """Fresh instance with one shared threshold perturbation t_l + mu, t_u - mu."""
-    mu = laplace(2.0 / (params.eps * params.n), noise)
-    return BTState(params=params, noisy_lower=params.t_lower + mu, noisy_upper=params.t_upper - mu)
+    mu = laplace(params.threshold_scale, noise)
+    return BTState(params, params.t_lower + mu, params.t_upper - mu, params.query_scale)
 
 
 def bt_query(state: BTState, q_value: float, noise: NoiseSource) -> BTOutcome:
@@ -221,6 +221,14 @@ def _differ_in_one_record(a: LabeledSample, b: LabeledSample) -> bool:
 
 
 def _clopper_pearson(count: int, trials: int, confidence: float) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson interval of a binomial proportion.
+
+    ``scipy.stats`` is imported here, on the first audit estimate, rather than
+    with the package: it takes most of a second and tens of MB to load, and
+    nothing on the prediction path needs it.
+    """
+    from scipy.stats import beta as beta_dist
+
     tail = (1.0 - confidence) / 2.0
     lo = 0.0 if count == 0 else float(beta_dist.ppf(tail, count, trials - count + 1))
     hi = 1.0 if count == trials else float(beta_dist.ppf(1.0 - tail, count + 1, trials - count))

@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
     CapabilityError,
@@ -193,6 +192,14 @@ def _phase_one_exact(a_rows, b_vec, max_iter: int):
             obj = [v - factor * w for v, w in zip(obj, tableau[leaving])]
         basis[leaving] = entering
     return None
+
+
+def nnls(a, b):
+    """scipy's ``nnls``, imported on the first hull test: ``hull_membership`` is
+    analysis only, so a prediction run never pays for loading ``scipy.optimize``."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(a, b)
 
 
 def hull_membership(points, z) -> bool:

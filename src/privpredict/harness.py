@@ -145,7 +145,7 @@ def _build_distribution(cfg: ExperimentConfig, noise: NoiseSource):
             labels = tuple(int(v) for v in target)
             return AtomDistribution(concept.points, probs, labels), concept
         threshold = cfg.domain_size // 2 + 1
-        return GridDistribution(cfg.domain_size, threshold), ThresholdClass(cfg.domain_size)
+        return GridDistribution(cfg.domain_size, threshold), _threshold_class(cfg.domain_size)
     lo = tuple(-1.0 for _ in range(cfg.d))
     hi = tuple(1.0 for _ in range(cfg.d))
     direction = noise.rng.standard_normal(cfg.d)
@@ -165,7 +165,21 @@ def _build_adversary(cfg: ExperimentConfig, dist):
     if isinstance(dist, AtomDistribution):
         atoms = dist.atoms
         return OfflineAdversary(tuple(atoms[i % len(atoms)] for i in range(cfg.t_rounds)))
-    points = van_der_corput_queries(cfg.t_rounds, cfg.domain_size) if cfg.t_rounds else []
+    return _grid_sweep(cfg.t_rounds, cfg.domain_size)
+
+
+@functools.lru_cache(maxsize=8)
+def _threshold_class(domain_size: int) -> ThresholdClass:
+    """One class per grid size in a process, so the query cuts it keeps for the
+    last stream carry over from trial to trial."""
+    return ThresholdClass(domain_size)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_sweep(t_rounds: int, domain_size: int) -> OfflineAdversary:
+    """The van der Corput sweep of a grid.  It depends on no seed, so it is built
+    once per shape in a process, and every trial hands the class the same tuple."""
+    points = van_der_corput_queries(t_rounds, domain_size) if t_rounds else []
     return OfflineAdversary(tuple(points))
 
 

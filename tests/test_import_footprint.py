@@ -1,0 +1,80 @@
+"""The prediction path loads numpy and the standard library, never scipy.
+
+scipy serves two analysis-only callers: the audit's Clopper-Pearson bounds
+(``dp._clopper_pearson``) and the hull test (``geometry.nnls``).  Both import
+it on first use, because loading ``scipy.stats`` takes most of a second and
+more than half the peak memory of a prediction run.
+
+The check runs in a fresh interpreter: this test process has scipy loaded
+already (``test_dp.py`` and ``test_golden.py`` import it).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json
+import sys
+
+import privpredict.cli
+from privpredict import NoiseSource, hull_membership
+from privpredict.harness import AuditToy, ExperimentConfig, run_audit, run_trial
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+configs = [
+    dict(mode="halfspace", t_rounds=64, d=2, n_budget=600, bt_delta=1e-2),
+    dict(mode="oblivious", t_rounds=256, domain_size=2**14, k=52, m=40, bt_delta=1e-3,
+         heldout=100),
+    dict(mode="stochastic-baseline", t_rounds=64, domain_size=1024, k=52, m=4, bt_delta=1e-3),
+    dict(mode="oblivious", t_rounds=16, concept_file=sys.argv[1], k=52, m=4, bt_delta=1e-3),
+]
+rounds = [len(run_trial(ExperimentConfig(**config), 0)[1]["rounds"]) for config in configs]
+toy = AuditToy()
+mechanism = toy.mechanism()
+sample, _ = toy.samples()
+noise = NoiseSource(7)
+transcripts = [mechanism(sample, noise) for _ in range(20)]
+runtime = scipy_modules()
+
+report, _, _ = run_audit(1000, 7)
+triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+print(json.dumps({
+    "rounds": rounds,
+    "transcripts": len(transcripts),
+    "runtime_scipy": runtime,
+    "audit": [report.trials, len(report.per_event), len(toy.events())],
+    "inside": hull_membership(triangle, (0.25, 0.25)),
+    "outside": hull_membership(triangle, (1.0, 1.0)),
+    "analysis_scipy": [name for name in ("scipy.stats", "scipy.optimize")
+                       if name in sys.modules],
+}))
+"""
+
+
+def test_prediction_runs_load_no_scipy_and_the_analysis_loads_it_on_use(tmp_path):
+    class_file = tmp_path / "class.json"
+    class_file.write_text(json.dumps({
+        "points": [1, 2, 3, 4],
+        "patterns": [[-1, -1, -1, -1], [-1, -1, 1, 1], [-1, 1, 1, 1], [1, 1, 1, 1]],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(class_file)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rounds"] == [64, 256, 64, 16]
+    assert out["transcripts"] == 20
+    assert out["runtime_scipy"] == []
+    trials, events, toy_events = out["audit"]
+    assert trials == 1000 and events == toy_events > 0
+    assert out["inside"] and not out["outside"]
+    assert out["analysis_scipy"] == ["scipy.stats", "scipy.optimize"]

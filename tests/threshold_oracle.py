@@ -64,16 +64,15 @@ def erm(concept: ThresholdClass, constraints, sample) -> int:
     lo, hi = concept._interval(constraints)
     if lo > hi:
         raise EmptyVersionSpaceError("no threshold satisfies the constraints")
-    pos = np.sort([p[0] for p, lab in zip(sample.points, sample.labels) if lab == POSITIVE])
-    neg = np.sort([p[0] for p, lab in zip(sample.points, sample.labels) if lab == NEGATIVE])
-    cuts = sorted({int(math.floor(p[0])) + 1 for p in sample.points})
+    records = sample.records()
+    pos = sorted(p[0] for p, lab in records if lab == POSITIVE)
+    neg = sorted(p[0] for p, lab in records if lab == NEGATIVE)
+    cuts = sorted({int(math.floor(p[0])) + 1 for p, _ in records})
     candidates = [lo] + [c for c in cuts if lo < c <= hi]
     best_t, best_err = None, None
     for t in candidates:
         # err(t) = #{+1 points < t} + #{-1 points >= t}
-        err = int(np.searchsorted(pos, t, side="left")) + len(neg) - int(
-            np.searchsorted(neg, t, side="left")
-        )
+        err = bisect.bisect_left(pos, t) + len(neg) - bisect.bisect_left(neg, t)
         if best_err is None or err < best_err:
             best_t, best_err = t, err
     return int(best_t)
