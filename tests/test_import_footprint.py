@@ -1,9 +1,10 @@
 """The prediction path loads numpy and the standard library, never scipy.
 
 scipy serves two analysis-only callers: the audit's Clopper-Pearson bounds
-(``dp._clopper_pearson``) and the hull test (``geometry.nnls``).  Both import
-it on first use, because loading ``scipy.stats`` takes most of a second and
-more than half the peak memory of a prediction run.
+(``dp._clopper_pearson``, through ``scipy.special``) and the hull test
+(``geometry.nnls``, through ``scipy.optimize``).  Both import it on first use.
+Neither needs ``scipy.stats``, which alone takes most of a second and some
+45 MB to load, so no path of the package may import it.
 
 The check runs in a fresh interpreter: this test process has scipy loaded
 already (``test_dp.py`` and ``test_golden.py`` import it).
@@ -30,6 +31,11 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 
+def analysis_modules():
+    return [name for name in ("scipy.special", "scipy.optimize", "scipy.stats")
+            if name in sys.modules]
+
+
 configs = [
     dict(mode="halfspace", t_rounds=64, d=2, n_budget=600, bt_delta=1e-2),
     dict(mode="oblivious", t_rounds=256, domain_size=2**14, k=52, m=40, bt_delta=1e-3,
@@ -46,6 +52,7 @@ transcripts = [mechanism(sample, noise) for _ in range(20)]
 runtime = scipy_modules()
 
 report, _, _ = run_audit(1000, 7)
+audit = analysis_modules()
 triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 print(json.dumps({
     "rounds": rounds,
@@ -54,8 +61,8 @@ print(json.dumps({
     "audit": [report.trials, len(report.per_event), len(toy.events())],
     "inside": hull_membership(triangle, (0.25, 0.25)),
     "outside": hull_membership(triangle, (1.0, 1.0)),
-    "analysis_scipy": [name for name in ("scipy.stats", "scipy.optimize")
-                       if name in sys.modules],
+    "audit_scipy": audit,
+    "analysis_scipy": analysis_modules(),
 }))
 """
 
@@ -77,4 +84,5 @@ def test_prediction_runs_load_no_scipy_and_the_analysis_loads_it_on_use(tmp_path
     trials, events, toy_events = out["audit"]
     assert trials == 1000 and events == toy_events > 0
     assert out["inside"] and not out["outside"]
-    assert out["analysis_scipy"] == ["scipy.stats", "scipy.optimize"]
+    assert out["audit_scipy"] == ["scipy.special"]
+    assert out["analysis_scipy"] == ["scipy.special", "scipy.optimize"]
