@@ -92,6 +92,7 @@ class BoundaryProbeAdversary:
         self._w = w
         self._normal_list = w[:-1]
         self._normal = np.array(self._normal_list)
+        self._base = np.empty(len(self._normal_list))  # next_query's base point
         # np.linalg.norm's own formula
         self._norm = math.sqrt(float(np.dot(self._normal, self._normal)))
         self._offset = w[-1]
@@ -133,7 +134,8 @@ class BoundaryProbeAdversary:
         if norm == 0.0:
             return tuple(base)
         # numpy's dot, not a Python sum: BLAS may fuse its multiply-adds
-        shift = (float(self._normal.dot(base)) - self._offset) / norm**2
+        self._base[:] = base
+        shift = (float(self._normal.dot(self._base)) - self._offset) / norm**2
         step = (1.0 if len(history) % 2 == 0 else -1.0) * self.tau
         probe = []
         for b, a, lo, hi in zip(base, self._normal_list, self.low, self.high):

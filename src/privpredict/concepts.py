@@ -250,19 +250,34 @@ class HalfspaceEnsemble:
     bits of the product, so every path takes it from the same matrix-vector
     product: many points run as a stack of W @ (x, -1) products
     (``lifted @ W.T`` is a matrix-matrix product and rounds differently).
-    ``vote`` calls ``W.dot(lifted)``, the same BLAS matrix-vector product as
-    ``W @ lifted`` without the matmul ufunc's dispatch.
+
+    ``vote`` allocates nothing.  It writes x into a (d+1) lifted buffer whose
+    last entry stays -1, calls ``W.dot(lifted, out=product)`` into a (k,)
+    buffer, compares into a (k,) mask and counts it.  ``dot`` with ``out``
+    runs the same BLAS matrix-vector product as ``W @ lifted`` (without the
+    matmul ufunc's dispatch) and only skips allocating its result, so the
+    bits do not change.  The mask is a view of a bytearray, one 0 or 1 byte
+    per block, so ``bytearray.count`` counts it without numpy's dispatch.
+    The buffers make an instance single-owner: two threads must not vote on
+    one ensemble at once.
     """
 
     def __init__(self, weights: np.ndarray):
         self.weights = weights
+        k, width = weights.shape
+        self._lifted = np.full(width, -1.0)
+        self._product = np.empty(k)
+        self._mask_bytes = bytearray(k)
+        self._mask = np.frombuffer(self._mask_bytes, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def vote(self, x: Point) -> int:
-        lifted = np.asarray(tuple(x) + (-1.0,))
-        return int(np.count_nonzero(self.weights.dot(lifted) >= 0.0))
+        lifted = self._lifted
+        lifted[:-1] = x
+        np.greater_equal(self.weights.dot(lifted, out=self._product), 0.0, out=self._mask)
+        return self._mask_bytes.count(1)
 
     def _positive(self, points) -> np.ndarray:
         """(n, k) mask of the +1 votes at each point."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,6 +40,7 @@ DEDUP_DECIMALS = 8
 _DEDUP_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the dedup hash
 RANK_TOL = 1e-10  # boundary subsets with smallest singular value at most this are skipped
 KERNEL_BYTES = 1 << 20  # working-memory budget of one block chunk of the depth kernel
+_WORKSPACE = threading.local()  # .buffer: the depth kernel's scratch bytes in this thread
 CANDIDATE_CAP = 20000  # candidate slots per block; more is a CapabilityError
 
 _SPHERE_SEED = 0x5EED  # candidate sphere samples are fixed across runs by design
@@ -275,14 +277,16 @@ def cdepth(profile: DepthProfile, z, candidates) -> int:
     return int(best)
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
+def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norm of each row, bit-identical to ``np.linalg.norm(row)``.
 
     A stacked (1 x n) @ (n x 1) matmul runs the same dot kernel per row as
     ``norm`` does for one vector; ``np.linalg.norm(axis=1)`` sums differently
-    and disagrees in the last bit.
+    and disagrees in the last bit.  ``out``, an (n, 1, 1) float array, takes
+    the result in place of a new array.
     """
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    norms = np.matmul(rows[:, None, :], rows[:, :, None], out=out)[:, 0, 0]
+    return np.sqrt(norms, out=norms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -297,18 +301,46 @@ def sphere_directions(r: int, samples: int) -> np.ndarray:
     return directions
 
 
-def _unit_lift(basis: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Scratch:
+    """Consecutive views into the depth kernel's workspace, each at an offset
+    that is a multiple of 64 bytes, so each is as aligned as the buffer.
+
+    The workspace is one byte buffer per thread that outlives every call, like
+    ``sphere_directions``'s cache, so the kernel's large per-chunk temporaries
+    are not allocated, freed and faulted back in on every refit.  It only
+    grows: a view that does not fit replaces it with a buffer as long as
+    everything taken so far, and views already handed out keep the old one
+    alive.  Its size follows the chunks, so a patched KERNEL_BYTES still
+    decides it.  A function takes a fresh ``_Scratch`` and returns no view of
+    it, so the next one may overwrite everything.
+    """
+
+    def __init__(self):
+        self.buffer = getattr(_WORKSPACE, "buffer", None)
+        self.used = 0
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        start = -(-self.used // 64) * 64
+        self.used = start + math.prod(shape) * np.dtype(dtype).itemsize
+        if self.buffer is None or self.used > len(self.buffer):
+            self.buffer = _WORKSPACE.buffer = np.empty(self.used, dtype=np.uint8)
+        return self.buffer[start:self.used].view(dtype).reshape(shape)
+
+
+def _unit_lift(basis: np.ndarray, coeffs: np.ndarray,
+               scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Lift coefficient rows into the ambient space and scale each to unit length.
 
-    Returns the points and which of them are nonzero (zero rows stay zero).
-    The lift and the norms are stacked matrix-vector and vector-vector
-    products, which run the same kernels as ``basis @ c`` and
-    ``np.linalg.norm`` on one row (a single ``coeffs @ basis.T`` does not).
+    Returns the points, a view of ``scratch``, and which of them are nonzero
+    (zero rows stay zero).  The lift and the norms are stacked matrix-vector
+    and vector-vector products, which run the same kernels as ``basis @ c``
+    and ``np.linalg.norm`` on one row (a single ``coeffs @ basis.T`` does not).
     """
-    points = np.matmul(basis[None], coeffs[:, :, None])[:, :, 0]
-    norms = row_norms(points)
+    points = np.matmul(basis[None], coeffs[:, :, None],
+                       out=scratch.take((len(coeffs), len(basis), 1)))[:, :, 0]
+    norms = row_norms(points, out=scratch.take((len(points), 1, 1)))
     nonzero = norms != 0.0
-    points[nonzero] /= norms[nonzero, None]
+    np.divide(points, norms[:, None], out=points, where=nonzero[:, None])
     return points, nonzero
 
 
@@ -381,7 +413,7 @@ def _block_candidates(normals: np.ndarray, basis: np.ndarray,
             # zero direction lifts to a zero point, which is dropped below
             directions = _null_directions(np.matmul(normals, basis)[:, subsets])
         coeffs = np.stack([directions, -directions], axis=2).reshape(-1, r)
-    boundary, nonzero = _unit_lift(basis, coeffs)
+    boundary, nonzero = _unit_lift(basis, coeffs, _Scratch())
     points = np.concatenate([
         boundary.reshape(k, -1, ambient),
         np.broadcast_to(sphere, (k, *sphere.shape)),
@@ -433,7 +465,8 @@ def _lifted_sphere(basis: np.ndarray, sphere_samples: int) -> np.ndarray:
     (none when the subspace is a line)."""
     if basis.shape[1] == 1:
         return np.zeros((0, basis.shape[0]))
-    points, nonzero = _unit_lift(basis, sphere_directions(basis.shape[1], sphere_samples))
+    points, nonzero = _unit_lift(basis, sphere_directions(basis.shape[1], sphere_samples),
+                                 _Scratch())
     return points[nonzero]
 
 
@@ -448,8 +481,14 @@ def _block_argmax(normals: np.ndarray, points: np.ndarray,
     for count in np.unique(counts):
         same = np.flatnonzero(counts == count)
         rows = starts[same, None] + np.arange(count)
-        product = np.matmul(normals[same], points[rows].transpose(0, 2, 1))
-        depths[rows] = (product >= -DEPTH_TOL).sum(axis=1)
+        scratch = _Scratch()
+        # mode="clip" writes straight into out; the default buffers a copy
+        gathered = np.take(points, rows, axis=0, mode="clip",
+                           out=scratch.take((len(same), count, points.shape[1])))
+        product = np.matmul(normals[same], gathered.transpose(0, 2, 1),
+                            out=scratch.take((len(same), normals.shape[1], count)))
+        satisfied = np.greater_equal(product, -DEPTH_TOL, out=scratch.take(product.shape, bool))
+        depths[rows] = satisfied.sum(axis=1)
     # the lexsort only needs each block's deepest candidates
     deepest = np.flatnonzero(depths == np.maximum.reduceat(depths, starts)[blocks])
     order = np.lexsort((*np.round(points[deepest], 9).T[::-1], blocks[deepest]))
@@ -505,7 +544,12 @@ def argmax_cdepth_blocks(
     Returns each block's point (blocks x ambient) and its integer depth, each
     equal to ``argmax_cdepth`` on that block alone.  The blocks go through
     the kernel in chunks whose working arrays stay near KERNEL_BYTES; the
-    sphere sample is lifted once for all of them.
+    sphere sample is lifted once for all of them.  A chunk's large arrays
+    (the lift and its norms, the gathered candidates, and the (blocks x n x
+    candidates) product and its mask) are views of a workspace that outlives
+    the call (``_Scratch``), written through ``out=`` by the same kernels as
+    a fresh array would be, so a refit allocates none of them.  The results
+    are fresh arrays.
     """
     normals = np.asarray(normals, dtype=float)
     k, n, ambient = normals.shape

@@ -1,10 +1,12 @@
-"""numpy reference for the two signs the halfspace round takes.
+"""numpy reference for the signs the halfspace round takes.
 
-Both are the expressions the callers used before ``core.certain_sign`` decided
-their signs in Python floats, kept verbatim: ``BoxDistribution.label``'s
-comparison of the target's dot product with its offset, and
-``BoundaryProbeAdversary._sync``'s perceptron step.  The callers must give
-the same labels and the same weights, bit for bit.
+``box_label`` and the perceptron are the expressions the callers used before
+``core.certain_sign`` decided their signs in Python floats, kept verbatim:
+``BoxDistribution.label``'s comparison of the target's dot product with its
+offset, and ``BoundaryProbeAdversary._sync``'s perceptron step.
+``ensemble_vote`` is ``HalfspaceEnsemble.vote`` from before it kept its own
+buffers.  The callers must give the same labels, weights and votes, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,3 +34,8 @@ def perceptron_step(w, x, label: int) -> np.ndarray:
     if perceptron_predicts(w, x) != label:
         w = w + label * np.asarray(tuple(x) + (-1.0,))
     return w
+
+
+def ensemble_vote(weights: np.ndarray, x) -> int:
+    """``HalfspaceEnsemble.vote``: a fresh lifted array and a fresh product."""
+    return int(np.count_nonzero(weights.dot(np.asarray(tuple(x) + (-1.0,))) >= 0.0))

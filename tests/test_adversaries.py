@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adversary_oracle import BoundaryProbeOracle
@@ -141,3 +143,32 @@ def test_van_der_corput_properties():
     assert all(1 <= x <= 64 for x in xs)
     assert len(set(xs)) == 64  # full sweep before any repetition
     assert xs[0] == 1.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       normal=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.375, 1.0, 3.0]),
+                       min_size=4, max_size=4),
+       offset=st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
+       low=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]), min_size=4, max_size=4),
+       width=st.lists(st.sampled_from([0.0, 0.25, 2.0]), min_size=4, max_size=4))
+@example(seed=0, d=1, normal=[-1.0] * 4, offset=0.0, low=[0.0] * 4, width=[0.0] * 4)
+@settings(max_examples=150, deadline=None)
+def test_probe_shift_takes_numpy_dot_of_the_base_list(seed, d, normal, offset, low, width):
+    """The probe's buffer holds the base point's bits, and its product with the
+    normal equals ``np.dot`` on the base as a list, the probe's expression
+    before it kept a buffer.
+    A zero-width box at d = 1 gives base [0.0] and, with a negative normal, a
+    -0.0 product, which a product summed onto +0.0 would lose."""
+    normal, low = normal[:d], tuple(low[:d])
+    high = tuple(lo + w for lo, w in zip(low, width))
+    adv = BoundaryProbeAdversary(low, high, 0.11)
+    adv._set_weights(normal + [offset])  # an empty history keeps these weights
+    base = [lo + (hi - lo) * u for lo, hi, u in zip(low, high, NoiseSource(seed).doubles(d))]
+    adv.next_query([], NoiseSource(seed))
+    if not any(normal):
+        return  # no boundary: the base is the query, and no product is taken
+    assert adv._base.tobytes() == np.array(base).tobytes()
+    want = np.dot(np.array(normal), base)
+    assert adv._normal.dot(adv._base).tobytes() == want.tobytes()
+    if d == 1 and normal[0] < 0 and base == [0.0]:
+        assert math.copysign(1.0, float(want)) == -1.0

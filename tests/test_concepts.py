@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumerated_oracle
+import sign_oracle
 import threshold_oracle
 from privpredict.concepts import (
     EnumeratedClass,
@@ -264,3 +265,35 @@ def test_enumerated_erm_ties_pick_the_lowest_row():
     # and row 0 wins the tie; block 1 is fit exactly by row 3
     assert concept.erm_blocks((), concept.blocks(points, labels)) == [0, 3]
     assert concept.erm_blocks((((2.0,), -1),), concept.blocks(points, labels)) == [0, 2]
+
+
+def _vote_case(seed: int, d: int, k: int, zeros: float):
+    """Weights with +-0.0 entries and points on and off every block's boundary."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((k, d + 1))
+    zero = rng.random(weights.shape) < zeros
+    weights[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    points = [tuple(x) for x in rng.uniform(-2, 2, (8, d)).tolist()]
+    points += [(0.0,) * d, (-0.0,) * d]
+    for a, w in zip(weights[:, :-1], weights[:, -1]):
+        if a @ a > 0:  # projected onto the boundary, where the last bits decide
+            x = rng.uniform(-2, 2, d)
+            points.append(tuple((x - (a @ x - w) * a / (a @ a)).tolist()))
+    return weights, points
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), k=st.integers(1, 8),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_buffered_vote_equals_the_fresh_array_vote(seed, d, k, zeros):
+    """``vote`` and ``votes([x])[0]`` give the oracle's count exactly, and two
+    ensembles voting in turn do not see each other's buffers."""
+    weights, points = _vote_case(seed, d, k, zeros)
+    other_weights, other_points = _vote_case(seed + 1, 5 - d, k + 1, zeros)
+    ensemble, other = HalfspaceEnsemble(weights), HalfspaceEnsemble(other_weights)
+    for x, y in zip(points, other_points):
+        want = sign_oracle.ensemble_vote(weights, x)
+        got = ensemble.vote(x)
+        assert type(got) is int and got == want == ensemble.votes([x])[0]
+        assert other.vote(y) == sign_oracle.ensemble_vote(other_weights, y)
+        assert ensemble.vote(x) == want

@@ -14,6 +14,7 @@ multi-block against one block) the points agree bit for bit.
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -288,6 +289,32 @@ def test_multi_block_kernel_groups_unequal_candidate_counts(monkeypatch):
         space, _ = space.intersect(np.array([0.2, -0.5, 1.0]) if r == 2 else space.basis[:, 0])
         assert space.dimension == r
         _assert_blocks_match(normals, space, 8)
+
+
+# --- the workspace: kept across calls, never read before it is written ---
+
+
+@pytest.mark.parametrize("budget", [None, 1, 50_000])
+def test_workspace_keeps_no_stale_data_between_calls(budget, monkeypatch):
+    """A large call, a smaller one at lower r, then the large one again share
+    one workspace, and each is byte-equal to the same call run in a new
+    workspace filled with NaN bytes, so no call reads what another left."""
+    if budget is not None:
+        monkeypatch.setattr(geometry, "KERNEL_BYTES", budget)
+    large = _block_stack(11, 6, 4, 4, 12, 3, False)
+    small = _block_stack(12, 2, 3, 2, 5, 2, True)
+    shared = threading.local()
+    buffers = []
+    for normals, space in (large, small, large):
+        monkeypatch.setattr(geometry, "_WORKSPACE", shared)
+        got = geometry.argmax_cdepth_blocks(normals, space)
+        buffers.append(shared.buffer)
+        fresh = threading.local()
+        fresh.buffer = np.full(1 << 21, 0xFF, dtype=np.uint8)
+        monkeypatch.setattr(geometry, "_WORKSPACE", fresh)
+        want = geometry.argmax_cdepth_blocks(normals, space)
+        assert all(map(_same_bits, got, want))
+    assert buffers[1] is buffers[0] and buffers[2] is buffers[0]  # reused, not reallocated
 
 
 def test_tie_break_compares_points_rounded_to_9_decimals():
