@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,14 @@ class BoundaryProbeAdversary:
     The weights are advanced incrementally while calls see the same history
     growing by appends; any prefix mismatch or shrink triggers a full replay, so
     the query stream stays a pure function of the (point, label) pairs.
+
+    Each query converts only its base point: a ``struct.Struct(f"{d}d")``
+    writes it, as the C doubles numpy would store, into a float64 view of a
+    bytearray, and the shift is numpy's dot of that view with the normal.  All
+    else a query reads -- the normal as a list and an array, the offset, the
+    squared norm and the step terms tau * a / |a| -- is made once per weights
+    by ``_set_weights``.  The buffer makes an instance single-owner, as its
+    history already does.
     """
 
     def __init__(self, low, high, tau: float):
@@ -82,6 +91,9 @@ class BoundaryProbeAdversary:
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
         self._span = [hi - lo for lo, hi in zip(self.low, self.high)]
+        self._base_bytes = bytearray(8 * len(self.low))
+        self._base = np.frombuffer(self._base_bytes, dtype=np.float64)  # next_query's base point
+        self._pack_base = struct.Struct(f"{len(self.low)}d").pack_into
         self._set_weights([0.0] * (len(self.low) + 1))
         self._seen = 0
         self._last_pair = None
@@ -92,10 +104,14 @@ class BoundaryProbeAdversary:
         self._w = w
         self._normal_list = w[:-1]
         self._normal = np.array(self._normal_list)
-        self._base = np.empty(len(self._normal_list))  # next_query's base point
         # np.linalg.norm's own formula
-        self._norm = math.sqrt(float(np.dot(self._normal, self._normal)))
+        self._norm = norm = math.sqrt(float(np.dot(self._normal, self._normal)))
+        self._norm_squared = norm**2
         self._offset = w[-1]
+        # (-tau * a) / |a| is the exact negation of (tau * a) / |a|, so the
+        # steps to the two sides are these terms and their negations
+        ahead = [self.tau * a / norm for a in self._normal_list] if norm else []
+        self._steps = (ahead, [-term for term in ahead])
 
     def _sync(self, history: History) -> None:
         """Advance the perceptron over the pairs not yet seen.
@@ -104,25 +120,29 @@ class BoundaryProbeAdversary:
         Python floats; only where rounding could flip its sign does it take
         numpy's product, so it is numpy's sign bit for bit.  An update
         w + label * (x, -1) is the same IEEE additions on floats as on arrays.
+        The last pair seen is matched by identity first: a history that grows
+        by appends hands back the same tuple.
         """
-        if len(history) < self._seen or (
-            self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
-        ):
+        seen = self._seen
+        if len(history) < seen or (seen > 0 and history[seen - 1] is not self._last_pair
+                                   and tuple(history[seen - 1]) != self._last_pair):
             self._set_weights([0.0] * (len(self.low) + 1))
             self._seen = 0
         w = self._w
+        normal, offset = self._normal_list, self._offset  # w[:-1] and w[-1]
         for x, label in history[self._seen:]:
-            predicted = certain_sign(w[:-1], x, w[-1])
+            predicted = certain_sign(normal, x, offset)
             if not predicted:
                 lifted = np.asarray(tuple(x) + (-1.0,))
                 predicted = POSITIVE if float(np.asarray(w) @ lifted) >= 0.0 else -POSITIVE
             if predicted != label:
                 w = [wi + label * li for wi, li in zip(w, tuple(x) + (-1.0,))]
+                normal, offset = w[:-1], w[-1]
         if w is not self._w:
             self._set_weights(w)
         self._seen = len(history)
         if history:
-            self._last_pair = tuple(history[-1])
+            self._last_pair = tuple(history[-1])  # no copy of a tuple
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
         self._sync(history)
@@ -134,12 +154,13 @@ class BoundaryProbeAdversary:
         if norm == 0.0:
             return tuple(base)
         # numpy's dot, not a Python sum: BLAS may fuse its multiply-adds
-        self._base[:] = base
-        shift = (float(self._normal.dot(self._base)) - self._offset) / norm**2
-        step = (1.0 if len(history) % 2 == 0 else -1.0) * self.tau
+        self._pack_base(self._base_bytes, 0, *base)
+        shift = (float(self._normal.dot(self._base)) - self._offset) / self._norm_squared
         probe = []
-        for b, a, lo, hi in zip(base, self._normal_list, self.low, self.high):
-            c = b - shift * a + step * a / norm  # on the boundary, then tau off it
+        # on the boundary, then tau off it, to alternating sides
+        for b, a, step, lo, hi in zip(base, self._normal_list, self._steps[len(history) % 2],
+                                      self.low, self.high):
+            c = b - shift * a + step
             c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie
             probe.append(c if c < hi else hi)
         return tuple(probe)

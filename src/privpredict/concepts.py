@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -251,22 +252,31 @@ class HalfspaceEnsemble:
     product: many points run as a stack of W @ (x, -1) products
     (``lifted @ W.T`` is a matrix-matrix product and rounds differently).
 
-    ``vote`` allocates nothing.  It writes x into a (d+1) lifted buffer whose
-    last entry stays -1, calls ``W.dot(lifted, out=product)`` into a (k,)
-    buffer, compares into a (k,) mask and counts it.  ``dot`` with ``out``
-    runs the same BLAS matrix-vector product as ``W @ lifted`` (without the
-    matmul ufunc's dispatch) and only skips allocating its result, so the
-    bits do not change.  The mask is a view of a bytearray, one 0 or 1 byte
-    per block, so ``bytearray.count`` counts it without numpy's dispatch.
-    The buffers make an instance single-owner: two threads must not vote on
-    one ensemble at once.
+    ``vote`` allocates nothing and converts nothing but x's coordinates.  The
+    (d+1) lifted vector is a float64 view of a bytearray whose last entry stays
+    -1; a ``struct.Struct(f"{d}d").pack_into``, bound once per ensemble,
+    writes x's coordinates into it as the C doubles that numpy's slice
+    assignment stores, without numpy's sequence discovery.  A wrong-length x
+    raises ``ValueError``, as that assignment did.  ``W.dot(lifted,
+    out=product)`` runs the same BLAS matrix-vector product as ``W @ lifted``
+    (without the matmul ufunc's dispatch) and only skips allocating its
+    result, so the bits do not change.  The product is compared with a kept
+    (k,) zero vector, the value the scalar 0.0 broadcasts to, so no scalar is
+    converted per vote.  The mask is a view of a bytearray, one 0 or 1 byte per
+    block, so ``bytearray.count`` counts it without numpy's dispatch.  The
+    buffers make an instance single-owner: two threads must not vote on one
+    ensemble at once.  Two ensembles share no buffer.
     """
 
     def __init__(self, weights: np.ndarray):
         self.weights = weights
         k, width = weights.shape
-        self._lifted = np.full(width, -1.0)
+        self._lifted_bytes = bytearray(8 * width)
+        self._lifted = np.frombuffer(self._lifted_bytes, dtype=np.float64)
+        self._lifted[-1] = -1.0
+        self._pack = struct.Struct(f"{width - 1}d").pack_into
         self._product = np.empty(k)
+        self._zeros = np.zeros(k)
         self._mask_bytes = bytearray(k)
         self._mask = np.frombuffer(self._mask_bytes, dtype=bool)
 
@@ -274,9 +284,12 @@ class HalfspaceEnsemble:
         return len(self.weights)
 
     def vote(self, x: Point) -> int:
-        lifted = self._lifted
-        lifted[:-1] = x
-        np.greater_equal(self.weights.dot(lifted, out=self._product), 0.0, out=self._mask)
+        try:
+            self._pack(self._lifted_bytes, 0, *x)
+        except struct.error as exc:
+            raise ValueError(f"cannot vote at {x!r}: {exc}") from None
+        np.greater_equal(self.weights.dot(self._lifted, out=self._product), self._zeros,
+                         out=self._mask)
         return self._mask_bytes.count(1)
 
     def _positive(self, points) -> np.ndarray:

@@ -355,6 +355,29 @@ def _check_cap(n: int, r: int, sphere_samples: int) -> int:
     return n_boundary + (sphere_samples if r > 1 else 0)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cross products of two equal-shape stacks of 3-vectors, bit for bit
+    as ``np.cross`` rounds them: each component is a difference of two
+    products, each rounded on its own.  Writing the components straight into
+    the result skips ``np.cross``'s axis moves and copies."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    cross = np.empty(a.shape)
+    np.subtract(a1 * b2, a2 * b1, out=cross[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=cross[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=cross[..., 2])
+    return cross
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(n: int, size: int) -> np.ndarray:
+    """The ``size``-subsets of range(n) as index rows, in ``combinations``
+    order.  Built once per (n, size), read-only."""
+    subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
+    subsets.flags.writeable = False
+    return subsets
+
+
 def _null_directions(rows: np.ndarray) -> np.ndarray:
     """The unit null vector of each stacked (r-1) x r matrix, or zero where the
     matrix's smallest singular value is at most RANK_TOL.
@@ -381,7 +404,7 @@ def _null_directions(rows: np.ndarray) -> np.ndarray:
         # b less its part along a has the same cross product with a, and keeps
         # it accurate when the rows are nearly parallel
         along = np.divide(np.einsum("...i,...i", a, b), aa, out=np.zeros_like(aa), where=aa > 0)
-        perp = np.cross(a, b - along[..., None] * a)
+        perp = _cross(a, b - along[..., None] * a)
         square = np.einsum("...i,...i", perp, perp)  # det G
         trace = aa + np.einsum("...i,...i", b, b)
         discriminant = np.sqrt(np.maximum(trace * trace - 4.0 * square, 0.0))
@@ -406,7 +429,7 @@ def _block_candidates(normals: np.ndarray, basis: np.ndarray,
     if r == 1:
         coeffs = np.tile([[1.0], [-1.0]], (k, 1))
     else:
-        subsets = np.array(list(combinations(range(n), r - 1)), dtype=np.intp)
+        subsets = _subsets(n, r - 1)
         directions = np.zeros((k, len(subsets), r))
         if len(subsets):
             # a rank-deficient subset's boundaries do not cut down to a line; its

@@ -8,7 +8,6 @@ import functools
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -298,6 +297,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg.to_dict(), i) for i in range(cfg.trials)]
     if cfg.workers > 1:
+        # imported here: it loads multiprocessing, which one-process runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = sorted(pool.map(_trial_worker, jobs), key=lambda t: t[0])
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -290,17 +291,19 @@ def run(
         if not report.cdepth_progress or report.cdepth_progress[-1] != entry:
             report.cdepth_progress.append(entry)
 
+    # bound once: the loop's calls skip the attribute lookups
+    next_query, vote = adversary.next_query, generator.vote
+    add_round, add_pair = report.rounds.append, history.append
     for j in range(1, spec.t_rounds + 1):
         if stale:
             refresh(j)
             stale = False
-        x = adversary.next_query(history, adv_noise)
-        q = generator.vote(x)
+        x = next_query(history, adv_noise)
+        q = vote(x)
         outcome, label = answer_query(bt_state, q, mech_noise)
         # _value_ is the plain attribute behind the slower enum property .value
-        entry = {"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q}
-        report.rounds.append(entry)
-        history.append((x, label))
+        add_round({"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q})
+        add_pair((x, label))
         if outcome is _TOP:
             ledger.append(spec.bt_eps, spec.bt_delta)
             report.top_count += 1
@@ -317,8 +320,11 @@ def run(
     if stale:
         refresh(spec.t_rounds + 1)
     if target is not None and history:
+        n, d = len(history), len(history[0][0])
+        points = np.fromiter(chain.from_iterable(x for x, _ in history), float, count=n * d)
+        released = np.fromiter((label for _, label in history), np.int64, count=n)
         report.wrong_predictions = int(np.count_nonzero(
-            target.labels([x for x, _ in history]) != report.labels()))
+            target.labels(points.reshape(n, d)) != released))
     report.degenerate = generator.degenerate
     report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
     report.ensemble = generator.ensemble

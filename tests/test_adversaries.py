@@ -172,3 +172,28 @@ def test_probe_shift_takes_numpy_dot_of_the_base_list(seed, d, normal, offset, l
     assert adv._normal.dot(adv._base).tobytes() == want.tobytes()
     if d == 1 and normal[0] < 0 and base == [0.0]:
         assert math.copysign(1.0, float(want)) == -1.0
+
+
+def test_boundary_probe_replays_only_when_the_last_pair_seen_changes():
+    """The pair seen last is found by identity in an appended history, and by
+    equality in a copy of it; neither replays the perceptron.  A copy whose
+    last seen label differs replays it from zero weights."""
+    adv = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1)
+    noise = NoiseSource(5)
+    history = []
+    for j in range(12):
+        x = adv.next_query(history, noise)
+        history.append((x, 1 if j % 3 else -1))
+    adv.next_query(history, noise)
+    resets = []
+    set_weights = adv._set_weights
+    adv._set_weights = lambda w: (resets.append(list(w)), set_weights(w))
+    copy = [(tuple(x), label) for x, label in history]
+    for h in (history, copy):
+        x = adv.next_query(h, NoiseSource(6))
+        assert x == BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1).next_query(h, NoiseSource(6))
+    assert resets == []
+    changed = copy[:-1] + [(copy[-1][0], -copy[-1][1])]
+    x = adv.next_query(changed, NoiseSource(6))
+    assert resets[0] == [0.0, 0.0, 0.0]
+    assert x == BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1).next_query(changed, NoiseSource(6))

@@ -275,6 +275,8 @@ def _vote_case(seed: int, d: int, k: int, zeros: float):
     weights[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
     points = [tuple(x) for x in rng.uniform(-2, 2, (8, d)).tolist()]
     points += [(0.0,) * d, (-0.0,) * d]
+    points += [tuple(x) for x in rng.integers(-2, 3, (2, d)).tolist()]  # Python ints
+    points += [tuple(np.float64(c) for c in rng.uniform(-2, 2, d))]
     for a, w in zip(weights[:, :-1], weights[:, -1]):
         if a @ a > 0:  # projected onto the boundary, where the last bits decide
             x = rng.uniform(-2, 2, d)
@@ -286,8 +288,9 @@ def _vote_case(seed: int, d: int, k: int, zeros: float):
        zeros=st.sampled_from([0.0, 0.3, 1.0]))
 @settings(max_examples=150, deadline=None)
 def test_buffered_vote_equals_the_fresh_array_vote(seed, d, k, zeros):
-    """``vote`` and ``votes([x])[0]`` give the oracle's count exactly, and two
-    ensembles voting in turn do not see each other's buffers."""
+    """``vote`` and ``votes([x])[0]`` give the oracle's count exactly, at
+    points given as floats, np.float64 or Python ints, and two ensembles of
+    different widths voting in turn do not see each other's buffers."""
     weights, points = _vote_case(seed, d, k, zeros)
     other_weights, other_points = _vote_case(seed + 1, 5 - d, k + 1, zeros)
     ensemble, other = HalfspaceEnsemble(weights), HalfspaceEnsemble(other_weights)
@@ -297,3 +300,15 @@ def test_buffered_vote_equals_the_fresh_array_vote(seed, d, k, zeros):
         assert type(got) is int and got == want == ensemble.votes([x])[0]
         assert other.vote(y) == sign_oracle.ensemble_vote(other_weights, y)
         assert ensemble.vote(x) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_vote_at_a_wrong_length_point_raises_value_error(d):
+    weights, points = _vote_case(d, d, 3, 0.3)
+    ensemble = HalfspaceEnsemble(weights)
+    for x in [(), (0.5,) * (d + 1), (0.5,) * (d - 1)]:
+        with pytest.raises(ValueError):
+            ensemble.vote(x)
+    with pytest.raises(ValueError):
+        ensemble.vote(("a",) * d)
+    assert ensemble.vote(points[0]) == sign_oracle.ensemble_vote(weights, points[0])

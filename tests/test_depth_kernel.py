@@ -12,6 +12,7 @@ multi-block against one block) the points agree bit for bit.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import threading
@@ -196,6 +197,36 @@ def test_null_directions_match_svd(seed, r, count, kind, scale):
     assert np.all(np.abs(np.linalg.norm(directions[full], axis=1) - 1.0) <= 1e-12)
     residual = np.abs(np.matmul(rows[full], directions[full][:, :, None]))[..., 0].max(axis=1)
     assert np.all(residual <= 1e-12 * np.linalg.norm(rows[full], axis=(1, 2)))
+
+
+def test_cross_products_equal_np_cross_bit_for_bit():
+    """The r = 3 null direction's cross product, written out by component,
+    rounds as ``np.cross`` does: on strided stacks as ``_null_directions``
+    passes them, with signed zeros, infinities, 1e+-300 and rows whose products
+    give inf - inf = nan."""
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300,
+                     1.0, -2.5, 3.0, np.nan])
+    special = rng.choice(pool, (100_000, 2, 3))
+    gaussian = rng.standard_normal((100_000, 2, 3)) * 10.0 ** rng.integers(-8, 9, (100_000, 1, 1))
+    for rows in (special, gaussian, np.where(rng.random(special.shape) < 0.3, special, gaussian)):
+        rows = rows.reshape(400, 250, 2, 3)
+        a, b = rows[..., 0, :], rows[..., 1, :]
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            got, want = geometry._cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_subsets_are_cached_read_only_combinations():
+    for n, size in [(0, 1), (1, 2), (5, 1), (6, 2), (7, 3)]:
+        subsets = geometry._subsets(n, size)
+        assert subsets.tolist() == [list(c) for c in itertools.combinations(range(n), size)]
+        assert subsets.dtype == np.intp and geometry._subsets(n, size) is subsets
+        assert not subsets.flags.writeable
+        if len(subsets):
+            with pytest.raises(ValueError):
+                subsets[0] = 0
+
 
 
 # --- the multi-block kernel: every block as the scalar oracle sees it alone ---

@@ -1,10 +1,13 @@
-"""The prediction path loads numpy and the standard library, never scipy.
+"""The prediction path loads numpy and the standard library, never scipy,
+and no process pool.
 
 scipy serves two analysis-only callers: the audit's Clopper-Pearson bounds
 (``dp._clopper_pearson``, through ``scipy.special``) and the hull test
 (``geometry.nnls``, through ``scipy.optimize``).  Both import it on first use.
 Neither needs ``scipy.stats``, which alone takes most of a second and some
-45 MB to load, so no path of the package may import it.
+45 MB to load, so no path of the package may import it.  The process pool
+(``concurrent.futures``, and with it multiprocessing) is loaded only by
+``run_experiment`` with more than one worker.
 
 The check runs in a fresh interpreter: this test process has scipy loaded
 already (``test_dp.py`` and ``test_golden.py`` import it).
@@ -44,6 +47,7 @@ configs = [
     dict(mode="oblivious", t_rounds=16, concept_file=sys.argv[1], k=52, m=4, bt_delta=1e-3),
 ]
 rounds = [len(run_trial(ExperimentConfig(**config), 0)[1]["rounds"]) for config in configs]
+pool_modules = sorted(name for name in sys.modules if name.split(".")[0] == "concurrent")
 toy = AuditToy()
 mechanism = toy.mechanism()
 sample, _ = toy.samples()
@@ -58,6 +62,7 @@ print(json.dumps({
     "rounds": rounds,
     "transcripts": len(transcripts),
     "runtime_scipy": runtime,
+    "pool_modules": pool_modules,
     "audit": [report.trials, len(report.per_event), len(toy.events())],
     "inside": hull_membership(triangle, (0.25, 0.25)),
     "outside": hull_membership(triangle, (1.0, 1.0)),
@@ -81,6 +86,7 @@ def test_prediction_runs_load_no_scipy_and_the_analysis_loads_it_on_use(tmp_path
     assert out["rounds"] == [64, 256, 64, 16]
     assert out["transcripts"] == 20
     assert out["runtime_scipy"] == []
+    assert out["pool_modules"] == []
     trials, events, toy_events = out["audit"]
     assert trials == 1000 and events == toy_events > 0
     assert out["inside"] and not out["outside"]

@@ -18,7 +18,7 @@ from privpredict.core import (
     NoiseSource,
     draw_sample,
 )
-from privpredict import predictor
+from privpredict import harness, predictor
 from privpredict.dp import PrivacyLedger, compose_advanced
 from privpredict.geometry import to_constraint
 from privpredict.predictor import (
@@ -113,6 +113,39 @@ def _criterion_style_run(seed, t_rounds=256):
     report = run(spec, sample, adversary, root, concept=ThresholdClass(domain),
                  target=dist, seed=seed)
     return report, dist
+
+
+def _wrong_predictions_oracle(target, rounds) -> int:
+    """``run``'s count of released labels that disagree with the target, as it
+    read before it built its arrays with ``np.fromiter``."""
+    return int(np.count_nonzero(
+        target.labels([r["x"] for r in rounds]) != [r["label"] for r in rounds]))
+
+
+def test_wrong_predictions_match_the_list_expression(tmp_path):
+    class_file = tmp_path / "class.json"
+    class_file.write_text(json.dumps({  # integer atoms
+        "points": [1, 2, 3, 4, 5],
+        "patterns": [[-1, -1, -1, -1, -1], [-1, -1, 1, 1, 1], [-1, 1, 1, 1, 1], [1, 1, -1, 1, 1]],
+    }))
+    configs = [
+        dict(mode="oblivious", t_rounds=256, domain_size=2**10, k=52, m=4, bt_delta=1e-3),
+        dict(mode="stochastic-baseline", t_rounds=64, domain_size=64, k=52, m=2, bt_delta=1e-3),
+        dict(mode="halfspace", t_rounds=64, d=2, n_budget=600, bt_delta=1e-2),
+        dict(mode="oblivious", t_rounds=64, concept_file=str(class_file), k=52, m=1, bt_delta=1e-3),
+    ]
+    kinds, wrong = set(), 0
+    for config in configs:
+        cfg = harness.ExperimentConfig(**config)
+        for trial in range(3):
+            row, payload = harness.run_trial(cfg, trial)
+            target, _ = harness._build_distribution(cfg, NoiseSource(cfg.seed + trial).child(3))
+            want = _wrong_predictions_oracle(target, payload["rounds"])
+            assert payload["wrong_predictions"] == row["wrong_prediction_count"] == want
+            kinds.add(type(target))
+            wrong += want
+    assert kinds == {GridDistribution, BoxDistribution, AtomDistribution}
+    assert wrong > 0
 
 
 def test_transcript_coherence_and_realizability():
