@@ -20,7 +20,7 @@ from .adversaries import (
     StochasticAdversary,
     van_der_corput_queries,
 )
-from .concepts import Ensemble, ThresholdClass, ThresholdEnsemble, load_enumerated_class
+from .concepts import Ensemble, ThresholdClass, load_enumerated_class
 from .core import (
     AtomDistribution,
     BoxDistribution,
@@ -87,6 +87,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.t_rounds < 0 or self.trials < 1:
             raise ConfigurationError("need t_rounds >= 0 and trials >= 1")
+        for name in ("alpha", "beta"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+        if not self.adversary_tau >= 0:  # also rejects nan
+            raise ConfigurationError(f"adversary_tau must be >= 0, got {self.adversary_tau!r}")
         for gate in self.gates:
             _check_gate(gate)
 
@@ -385,8 +390,9 @@ class AuditToy:
         """The vote/threshold channel of a prediction run with top budget zero.
 
         Equivalent to the full loop with singleton blocks after its partition
-        draw: vote counts are permutation invariant, and each vote is answered
-        by ``answer_query``, the step ``run`` uses.  So the vote counts of every
+        draw: the blocks are fit by the ERM ``run`` refits with, vote counts
+        are permutation invariant, and each vote is answered by
+        ``answer_query``, the step ``run`` uses.  So the vote counts of every
         round depend on the sample alone, and are computed once per sample.
         ``bt_init`` and every answer draw straight from ``noise``, so calls on
         one source continue its stream.
@@ -394,13 +400,14 @@ class AuditToy:
         params = self.params(scale_factor)
         stream = self.stream()
         k = self.k
+        concept = ThresholdClass(self.domain)
         counts_of: dict[LabeledSample, list[int]] = {}
 
         def mech(sample: LabeledSample, noise: NoiseSource):
             counts = counts_of.get(sample)
             if counts is None:
-                ensemble = ThresholdEnsemble(
-                    np.where(sample.labels > 0, 1.0, sample.points[:, 0] + 1.0).tolist())
+                blocks = concept.blocks(sample.points, sample.labels[:, None])
+                ensemble = concept.ensemble(concept.erm_blocks((), blocks))
                 # nearly every transcript halts within its first few rounds,
                 # so a count is divided on use
                 counts = counts_of[sample] = ensemble.votes(stream).tolist()

@@ -24,7 +24,6 @@ from .core import (
     LabeledSample,
     NoiseSource,
     Point,
-    UsageError,
     empirical_error,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
     partition,
 )
@@ -79,52 +78,35 @@ def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> in
 
 
 class _ObliviousGenerator:
-    """Shared version space + per-block ERM; the ensemble changes only on top rounds.
+    """Shared version space + per-block ERM; ``run`` refits only after top rounds.
 
     The class lays out the (k, m) labels and m points per block once, and
     refits every block in one batched ERM pass."""
 
+    degenerate = False
+
     def __init__(self, concept: ConceptClass, points: np.ndarray, labels: np.ndarray):
         self.concept = concept
-        self.k = len(labels)
         self.space = VersionSpace(concept)
         self._layout = concept.blocks(points, labels)
-        self._ensemble: Ensemble | None = None
-        self.degenerate = False
 
-    def _erm(self) -> Ensemble:
-        return self.concept.ensemble(self.concept.erm_blocks(self.space.constraints, self._layout))
-
-    def refresh(self) -> list[int]:
-        """Refit every block; returns the indices of dropped constraints."""
+    def refresh(self) -> tuple[Ensemble, list[int]]:
+        """Refit every block; returns the ensemble and the indices of dropped constraints."""
         dropped: list[int] = []
         while True:
             try:
-                self._ensemble = self._erm()
-                return dropped
+                return self.concept.ensemble(
+                    self.concept.erm_blocks(self.space.constraints, self._layout)), dropped
             except EmptyVersionSpaceError:
                 if not self.space.constraints:
                     raise
                 dropped.append(len(self.space.constraints) - 1)
                 self.space = self.space.drop_newest()
 
-    def invalidate(self) -> None:
-        self._ensemble = None
-
-    @property
-    def ensemble(self) -> Ensemble:
-        if self._ensemble is None:
-            raise UsageError("generator not refreshed")
-        return self._ensemble
-
-    def vote(self, x: Point) -> float:
-        return self._ensemble.vote(x) / self.k
-
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         before = self.space.pattern_count(full_queries) if full_queries else None
         self.space = self.space.restrict(x, label)
         after = self.space.pattern_count(full_queries) if full_queries else None
-        self.invalidate()
         info: dict[str, Any] = {}
         if before is not None:
             info["patterns_before"] = int(before)
@@ -138,51 +120,28 @@ class _HalfspaceGenerator:
     their depth argmax in one batched kernel pass.  ``points`` is (k, m, d),
     ``labels`` (k, m)."""
 
-    def __init__(self, d: int, points: np.ndarray, labels: np.ndarray):
-        self.d = d
-        self.k = len(labels)
-        self.space = geometry.FeasibleSubspace.full(d + 1)
+    def __init__(self, points: np.ndarray, labels: np.ndarray):
+        self.space = geometry.FeasibleSubspace.full(points.shape[2] + 1)
         # lab * (x, -1), as geometry.to_constraint forms it; a product with
         # +-1 is exact
         lifted = np.concatenate([points, np.full((*points.shape[:2], 1), -1.0)], axis=2)
         self.normals = labels[:, :, None] * lifted
-        self._ensemble: HalfspaceEnsemble | None = None
-        self._values: list[int] | None = None
-        self.degenerate = False
 
-    def refresh(self) -> list[int]:
+    @property
+    def degenerate(self) -> bool:
+        return self.space.dimension == 0
+
+    def refresh(self) -> tuple[HalfspaceEnsemble, int]:
+        """Refit every block; returns the ensemble and the least block depth."""
         points, depths = geometry.argmax_cdepth_blocks(self.normals, self.space)
         norms = geometry.row_norms(points)[:, None]
-        self._ensemble = HalfspaceEnsemble(np.divide(points, norms, out=points, where=norms > 0))
-        self._values = depths.tolist()
-        if self.space.dimension == 0:
-            self.degenerate = True
-        return []
-
-    def invalidate(self) -> None:
-        self._ensemble = None
-        self._values = None
-
-    @property
-    def ensemble(self) -> HalfspaceEnsemble:
-        if self._ensemble is None:
-            raise UsageError("generator not refreshed")
-        return self._ensemble
-
-    @property
-    def cdepth_values(self) -> list[int]:
-        if self._values is None:
-            raise UsageError("generator not refreshed")
-        return list(self._values)
-
-    def vote(self, x: Point) -> float:
-        return self._ensemble.vote(x) / self.k
+        ensemble = HalfspaceEnsemble(np.divide(points, norms, out=points, where=norms > 0))
+        return ensemble, int(depths.min())
 
     def on_top(self, x: Point, label: int, full_queries) -> dict[str, Any]:
         normal = np.asarray(tuple(x) + (-1.0,))
         before = self.space.dimension
         self.space, redundant = self.space.intersect(normal)
-        self.invalidate()
         return {
             "dim_before": int(before),
             "dim_after": int(self.space.dimension),
@@ -217,15 +176,11 @@ class RunReport:
     # the final ensemble, which final_hypotheses describes; not in the payload
     ensemble: Ensemble | None = field(default=None, repr=False, compare=False)
 
-    def labels(self) -> list[int]:
-        return [r["label"] for r in self.rounds]
-
-    def first_top_round(self) -> int:
-        return self.top_rounds[0]["round"] if self.top_rounds else 0
-
     def observable(self) -> tuple:
-        """The public output channel: emitted labels plus the visible stop."""
-        return tuple(self.labels()), self.first_top_round(), self.aborted
+        """The public output channel: emitted labels, the first top round (0
+        if none) and whether the run aborted."""
+        first_top = self.top_rounds[0]["round"] if self.top_rounds else 0
+        return tuple(r["label"] for r in self.rounds), first_top, self.aborted
 
     def to_payload(self) -> dict[str, Any]:
         """The report as a JSON-ready dict; it shares its lists with the report.
@@ -267,7 +222,7 @@ def run(
             raise ConfigurationError("oblivious runs need a concept class")
         generator = _ObliviousGenerator(concept, points, labels)
     elif spec.generator == "halfspace":
-        generator = _HalfspaceGenerator(sample.dimension, points, labels)
+        generator = _HalfspaceGenerator(points, labels)
     else:
         raise ConfigurationError(f"unknown generator {spec.generator!r}")
 
@@ -277,29 +232,28 @@ def run(
     ledger = PrivacyLedger()
     bt_state = bt_init(params, mech_noise)
     history: list[tuple[Point, int]] = []
-    stale = True
 
     def refresh(round_index: int) -> None:
-        for idx in generator.refresh():
-            report.fallback_flags.append({"round": round_index, "dropped_constraint": idx})
-        if spec.generator != "halfspace":
+        """Refit the ensemble before round_index, the first round it answers."""
+        nonlocal ensemble, vote
+        ensemble, found = generator.refresh()
+        vote = ensemble.vote
+        if spec.generator == "oblivious":  # found: the indices of dropped constraints
+            report.fallback_flags.extend(
+                {"round": round_index, "dropped_constraint": idx} for idx in found)
             return
-        entry = {
-            "hard_count": report.top_count,
-            "min_cdepth_fraction": min(generator.cdepth_values) / spec.m,
-        }
+        entry = {"hard_count": report.top_count, "min_cdepth_fraction": found / spec.m}
         if not report.cdepth_progress or report.cdepth_progress[-1] != entry:
             report.cdepth_progress.append(entry)
 
+    ensemble = vote = None
+    refresh(1)
     # bound once: the loop's calls skip the attribute lookups
-    next_query, vote = adversary.next_query, generator.vote
+    k, next_query = spec.k, adversary.next_query
     add_round, add_pair = report.rounds.append, history.append
     for j in range(1, spec.t_rounds + 1):
-        if stale:
-            refresh(j)
-            stale = False
         x = next_query(history, adv_noise)
-        q = vote(x)
+        q = vote(x) / k
         outcome, label = answer_query(bt_state, q, mech_noise)
         # _value_ is the plain attribute behind the slower enum property .value
         add_round({"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q})
@@ -311,14 +265,13 @@ def run(
             top_entry = {"round": j, "x": x, "label": label}
             top_entry.update(info)
             report.top_rounds.append(top_entry)
-            stale = True
             if report.top_count > spec.v_max:
                 report.aborted = True
+                refresh(spec.t_rounds + 1)
                 break
+            refresh(j + 1)
             bt_state = bt_init(params, mech_noise)
 
-    if stale:
-        refresh(spec.t_rounds + 1)
     if target is not None and history:
         n, d = len(history), len(history[0][0])
         points = np.fromiter(chain.from_iterable(x for x, _ in history), float, count=n * d)
@@ -327,7 +280,7 @@ def run(
             target.labels(points.reshape(n, d)) != released))
     report.degenerate = generator.degenerate
     report.eps_total, report.delta_total = compose_advanced(ledger, DELTA_PRIME)
-    report.ensemble = generator.ensemble
+    report.ensemble = ensemble
     report.final_hypotheses = report.ensemble.payload()
     wrong = (report.ensemble.labels(sample.points) != sample.labels).sum(axis=1)
     report.max_block_error = int(wrong.max()) / len(sample)

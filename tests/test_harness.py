@@ -130,6 +130,27 @@ def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("target", [
+    {"alpha": 0.0},
+    {"alpha": -1.0},
+    {"alpha": 1.0},
+    {"alpha": float("nan")},
+    {"beta": 0.0},
+    {"beta": -0.5},
+    {"beta": 1.5},
+    {"adversary_tau": -0.1},
+])
+def test_targets_out_of_range_fail_before_any_trial_runs(tmp_path, target, capsys):
+    [key] = target
+    with pytest.raises(ConfigurationError, match=key):
+        _small_config(tmp_path, **target)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_small_config(tmp_path).to_dict(), **target}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_trial_heldout_and_payload(tmp_path):
     cfg = _small_config(tmp_path, heldout=2000)
     row, payload = run_trial(cfg, 0)

@@ -77,6 +77,8 @@ def test_budget_abort():
     assert report.aborted
     assert report.top_count == 1
     assert len(report.rounds) == 1  # the budget-exceeding round is the last one
+    # the final ensemble is refit after that round: every block labels 1 positive
+    assert report.final_hypotheses == [{"kind": "threshold", "t": 1}] * 52
 
 
 def test_empty_transcript_run():
@@ -230,28 +232,41 @@ def test_determinism_and_stateless_regeneration(monkeypatch):
     memo = report_json()
     refreshes = []
 
-    class ForcedRefresh(_ObliviousGenerator):
-        """Recomputes every block hypothesis from the version space before each vote."""
+    class RefitBeforeVote:
+        """Stands in for the ensemble: each vote first refits every block from
+        the generator's current version space, then votes with that fit."""
+
+        def __init__(self, generator, ensemble):
+            self.generator, self.ensemble = generator, ensemble
 
         def vote(self, x):
-            refreshes.append(self.refresh())
-            return super().vote(x)
+            self.ensemble, dropped = _ObliviousGenerator.refresh(self.generator)
+            refreshes.append(dropped)
+            return self.ensemble.vote(x)
+
+        def __getattr__(self, name):  # payload and labels come from the last fit
+            return getattr(self.ensemble, name)
+
+    class ForcedRefresh(_ObliviousGenerator):
+        def refresh(self):
+            ensemble, dropped = super().refresh()
+            return RefitBeforeVote(self, ensemble), dropped
 
     monkeypatch.setattr(predictor, "_ObliviousGenerator", ForcedRefresh)
     assert report_json() == memo
     assert len(refreshes) == 64 and not any(refreshes)
 
 
-def _direct_vote(hypotheses, x) -> float:
-    return sum(1 for h in hypotheses if h.evaluate(x) > 0) / len(hypotheses)
+def _direct_vote(hypotheses, x) -> int:
+    return sum(1 for h in hypotheses if h.evaluate(x) > 0)
 
 
-def _thresholds(gen) -> list[ThresholdHypothesis]:
-    return [ThresholdHypothesis(t) for t in gen.ensemble.thresholds]
+def _thresholds(ensemble) -> list[ThresholdHypothesis]:
+    return [ThresholdHypothesis(t) for t in ensemble.thresholds]
 
 
-def _rows(gen) -> list:
-    return [enumerated_oracle.hypothesis(gen.concept, i) for i in gen.ensemble.rows]
+def _rows(ensemble) -> list:
+    return [enumerated_oracle.hypothesis(ensemble.concept, i) for i in ensemble.rows]
 
 
 def _stacked(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -261,12 +276,12 @@ def _stacked(blocks) -> tuple[np.ndarray, np.ndarray]:
 
 def test_threshold_vote_fast_path_matches_generic():
     blocks = [draw_sample(GridDistribution(256, 100), 8, NoiseSource(i)) for i in range(5)]
-    gen = _ObliviousGenerator(ThresholdClass(256), *_stacked(blocks))
-    gen.refresh()
-    assert len(set(gen.ensemble.thresholds)) > 1
+    ensemble, dropped = _ObliviousGenerator(ThresholdClass(256), *_stacked(blocks)).refresh()
+    assert dropped == []
+    assert len(set(ensemble.thresholds)) > 1
     for x in ((0.0,), (1.0,), (99.0,), (100.0,), (101.0,), (256.0,), (300.0,)):
-        assert gen.vote(x) == _direct_vote(_thresholds(gen), x)
-    assert gen.vote((0.0,)) == 0.0 and gen.vote((300.0,)) == 1.0
+        assert ensemble.vote(x) == _direct_vote(_thresholds(ensemble), x)
+    assert ensemble.vote((0.0,)) == 0 and ensemble.vote((300.0,)) == 5
 
 
 def test_enumerated_vote_matches_direct_count():
@@ -279,23 +294,24 @@ def test_enumerated_vote_matches_direct_count():
         blocks.append(LabeledSample(tuple(points[i] for i in idx),
                                     tuple(int(v) for v in rng.choice((-1, 1), size=2))))
     gen = _ObliviousGenerator(cls, *_stacked(blocks))
-    gen.refresh()
-    assert len(set(gen.ensemble.rows)) > 2
+    ensemble, _ = gen.refresh()
+    assert len(set(ensemble.rows)) > 2
     for x in points:
-        assert gen.vote(x) == _direct_vote(_rows(gen), x)
-    assert 0.0 < gen.vote((2.0,)) < 1.0
+        assert ensemble.vote(x) == _direct_vote(_rows(ensemble), x)
+    assert 0 < ensemble.vote((2.0,)) < 9
     gen.on_top((2.0,), 1, None)
     gen.on_top((3.0,), -1, None)
-    assert gen.refresh() == []
+    ensemble, dropped = gen.refresh()
+    assert dropped == []
     for x in points:
-        assert gen.vote(x) == _direct_vote(_rows(gen), x)
-    assert (gen.vote((2.0,)), gen.vote((3.0,))) == (1.0, 0.0)
+        assert ensemble.vote(x) == _direct_vote(_rows(ensemble), x)
+    assert (ensemble.vote((2.0,)), ensemble.vote((3.0,))) == (9, 0)
 
     # one point, one block per label: the ensemble splits evenly
-    half = _ObliviousGenerator(EnumeratedClass([(1.0,)], [[-1], [1]]),
-                               np.array([[[1.0]], [[1.0]]]), np.array([[1], [-1]], dtype=np.int8))
-    half.refresh()
-    assert half.vote((1.0,)) == 0.5
+    half, _ = _ObliviousGenerator(EnumeratedClass([(1.0,)], [[-1], [1]]),
+                                  np.array([[[1.0]], [[1.0]]]),
+                                  np.array([[1], [-1]], dtype=np.int8)).refresh()
+    assert half.vote((1.0,)) == 1
 
 
 def test_oblivious_generator_fallback_flag():
@@ -304,10 +320,10 @@ def test_oblivious_generator_fallback_flag():
     gen.refresh()
     gen.on_top((20.0,), 1, None)
     gen.on_top((20.0,), -1, None)  # contradiction
-    dropped = gen.refresh()
+    ensemble, dropped = gen.refresh()
     assert dropped == [1]
     assert gen.space.constraints == (((20.0,), 1),)
-    assert all(h.evaluate((20.0,)) == 1 for h in _thresholds(gen))
+    assert all(h.evaluate((20.0,)) == 1 for h in _thresholds(ensemble))
 
 
 def test_halfspace_generator_base_case_and_hyperplane():
@@ -317,25 +333,26 @@ def test_halfspace_generator_base_case_and_hyperplane():
     labels = np.where(pts @ target[:2] - target[2] >= 0, 1, -1)
     sample = LabeledSample(tuple(map(tuple, pts)), tuple(int(v) for v in labels))
     blocks = [LabeledSample(sample.points[i::3], sample.labels[i::3]) for i in range(3)]
-    gen = _HalfspaceGenerator(2, *_stacked(blocks))
+    gen = _HalfspaceGenerator(*_stacked(blocks))
     stacked = [[to_constraint(p, lab) for p, lab in blk.records()] for blk in blocks]
     assert gen.normals.tobytes() == np.array(stacked).tobytes()
-    gen.refresh()
-    assert gen.cdepth_values == [8, 8, 8]  # realizable: every constraint satisfiable
+    _, least_depth = gen.refresh()
+    assert least_depth == 8  # realizable: every block satisfies all 8 of its constraints
+    assert not gen.degenerate
 
     info = gen.on_top((0.3, 0.2), 1, None)
     assert (info["dim_before"], info["dim_after"], info["redundant"]) == (3, 2, False)
-    gen.refresh()
+    ensemble, _ = gen.refresh()
     normal = np.array([0.3, 0.2, -1.0])
-    assert np.all(np.abs(gen.ensemble.weights @ normal) <= 1e-9)
+    assert np.all(np.abs(ensemble.weights @ normal) <= 1e-9)
 
     gen.on_top((0.5, -0.1), 1, None)
     gen.on_top((-0.4, 0.8), 1, None)
-    gen.refresh()
+    ensemble, _ = gen.refresh()
     assert gen.space.dimension == 0
     assert gen.degenerate
-    assert not gen.ensemble.weights.any()
-    assert gen.vote((0.123, 0.456)) == 1.0
+    assert not ensemble.weights.any()
+    assert ensemble.vote((0.123, 0.456)) == 3
 
 
 def test_halfspace_generator_rejects_non_finite_points():
@@ -343,7 +360,7 @@ def test_halfspace_generator_rejects_non_finite_points():
     # reaches the generator
     with pytest.raises(ConfigurationError, match="finite"):
         blocks = [LabeledSample(((0.1, 0.2), (float("inf"), 0.0)), (1, -1))]
-        _HalfspaceGenerator(2, *_stacked(blocks))
+        _HalfspaceGenerator(*_stacked(blocks))
 
 
 def test_halfspace_cdepth_progression():
