@@ -9,7 +9,6 @@ construction.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +21,6 @@ from .core import (
     Point,
     StreamExhausted,
     POSITIVE,
-    certain_sign,
 )
 
 History = Sequence[tuple[Point, int]]
@@ -68,22 +66,36 @@ class StochasticAdversary:
         return None
 
 
+def _dot(a, b) -> float:
+    """Sum a[i] * b[i] as ((a[0]*b[0] + a[1]*b[1]) + a[2]*b[2]) + ..., from the
+    first product on, so a lone -0.0 product stays -0.0 (``sum`` would start
+    from the int 0).  Elementwise numpy repeats it bit for bit as
+    ``s = A[:, 0] * B[:, 0]; s += A[:, 1] * B[:, 1]; ...``.  Raises
+    ``ValueError`` when the lengths differ."""
+    pairs = zip(a, b, strict=True)
+    a0, b0 = next(pairs)
+    total = a0 * b0
+    for ai, bi in pairs:
+        total += ai * bi
+    return total
+
+
 class BoundaryProbeAdversary:
     """Adaptive halfspace stressor: fit a running boundary estimate by perceptron
     updates on the observed (point, label) pairs, then query at distance tau from
     it, alternating sides.
 
     The weights are advanced incrementally while calls see the same history
-    growing by appends; any prefix mismatch or shrink triggers a full replay, so
-    the query stream stays a pure function of the (point, label) pairs.
+    growing by appends; a history that does not begin with the pairs consumed
+    so far triggers a full replay, so the query stream stays a pure function
+    of the (point, label) pairs.
 
-    Each query converts only its base point: a ``struct.Struct(f"{d}d")``
-    writes it, as the C doubles numpy would store, into a float64 view of a
-    bytearray, and the shift is numpy's dot of that view with the normal.  All
-    else a query reads -- the normal as a list and an array, the offset, the
-    squared norm and the step terms tau * a / |a| -- is made once per weights
-    by ``_set_weights``.  The buffer makes an instance single-owner, as its
-    history already does.
+    All arithmetic is in Python floats.  With weights w = (a, offset):
+    - the perceptron predicts +1 at x iff ``_dot(a, x) - offset >= 0``, and an
+      update adds label * (x, -1) to w coordinate by coordinate;
+    - a query draws base = low + span * u, shifts it onto the boundary by
+      ``(_dot(a, base) - offset) / _dot(a, a)`` times a, steps tau * a / |a|
+      off it, |a| = sqrt(_dot(a, a)), and clips to the box.
     """
 
     def __init__(self, low, high, tau: float):
@@ -91,58 +103,49 @@ class BoundaryProbeAdversary:
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
         self._span = [hi - lo for lo, hi in zip(self.low, self.high)]
-        self._base_bytes = bytearray(8 * len(self.low))
-        self._base = np.frombuffer(self._base_bytes, dtype=np.float64)  # next_query's base point
-        self._pack_base = struct.Struct(f"{len(self.low)}d").pack_into
         self._set_weights([0.0] * (len(self.low) + 1))
-        self._seen = 0
-        self._last_pair = None
+        self._pairs = []  # the pairs the weights have consumed
+        self._history = None
 
     def _set_weights(self, w: list[float]) -> None:
-        """Take new weights (a list of floats) and the boundary quantities every
-        query reads."""
+        """Take new weights and the boundary quantities every query reads."""
         self._w = w
-        self._normal_list = w[:-1]
-        self._normal = np.array(self._normal_list)
-        # np.linalg.norm's own formula
-        self._norm = norm = math.sqrt(float(np.dot(self._normal, self._normal)))
-        self._norm_squared = norm**2
+        self._normal = normal = w[:-1]
         self._offset = w[-1]
+        self._norm_squared = _dot(normal, normal)
+        norm = math.sqrt(self._norm_squared)
         # (-tau * a) / |a| is the exact negation of (tau * a) / |a|, so the
         # steps to the two sides are these terms and their negations
-        ahead = [self.tau * a / norm for a in self._normal_list] if norm else []
+        ahead = [self.tau * a / norm for a in normal] if norm else []
         self._steps = (ahead, [-term for term in ahead])
 
     def _sync(self, history: History) -> None:
         """Advance the perceptron over the pairs not yet seen.
 
-        The prediction w @ (x, -1) >= 0 is decided by ``certain_sign`` in
-        Python floats; only where rounding could flip its sign does it take
-        numpy's product, so it is numpy's sign bit for bit.  An update
-        w + label * (x, -1) is the same IEEE additions on floats as on arrays.
-        The last pair seen is matched by identity first: a history that grows
-        by appends hands back the same tuple.
+        The weights are kept when the history begins with the pairs already
+        consumed, and replayed from zero otherwise.  A new sequence, or one
+        whose last consumed pair is no longer the same object, is compared
+        pair by pair; the list a run appends to is only checked at that pair.
         """
-        seen = self._seen
-        if len(history) < seen or (seen > 0 and history[seen - 1] is not self._last_pair
-                                   and tuple(history[seen - 1]) != self._last_pair):
-            self._set_weights([0.0] * (len(self.low) + 1))
-            self._seen = 0
+        pairs = self._pairs
+        seen = len(pairs)
+        if history is not self._history or len(history) < seen or (
+                seen and history[seen - 1] is not pairs[-1]):
+            self._history = history
+            if list(history[:seen]) != pairs:
+                self._set_weights([0.0] * (len(self.low) + 1))
+                pairs.clear()
+                seen = 0
         w = self._w
-        normal, offset = self._normal_list, self._offset  # w[:-1] and w[-1]
-        for x, label in history[self._seen:]:
-            predicted = certain_sign(normal, x, offset)
-            if not predicted:
-                lifted = np.asarray(tuple(x) + (-1.0,))
-                predicted = POSITIVE if float(np.asarray(w) @ lifted) >= 0.0 else -POSITIVE
+        normal, offset = self._normal, self._offset  # w[:-1] and w[-1]
+        for x, label in history[seen:]:
+            predicted = POSITIVE if _dot(normal, x) - offset >= 0.0 else -POSITIVE
             if predicted != label:
-                w = [wi + label * li for wi, li in zip(w, tuple(x) + (-1.0,))]
+                w = [wi + label * li for wi, li in zip(w, (*x, -1.0))]
                 normal, offset = w[:-1], w[-1]
         if w is not self._w:
             self._set_weights(w)
-        self._seen = len(history)
-        if history:
-            self._last_pair = tuple(history[-1])  # no copy of a tuple
+        pairs += history[seen:]
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
         self._sync(history)
@@ -150,15 +153,12 @@ class BoundaryProbeAdversary:
         # the same two IEEE operations in Python floats as in numpy
         base = [lo + span * u
                 for lo, span, u in zip(self.low, self._span, noise.doubles(len(self.low)))]
-        norm = self._norm
-        if norm == 0.0:
+        if not self._norm_squared:
             return tuple(base)
-        # numpy's dot, not a Python sum: BLAS may fuse its multiply-adds
-        self._pack_base(self._base_bytes, 0, *base)
-        shift = (float(self._normal.dot(self._base)) - self._offset) / self._norm_squared
+        shift = (_dot(self._normal, base) - self._offset) / self._norm_squared
         probe = []
         # on the boundary, then tau off it, to alternating sides
-        for b, a, step, lo, hi in zip(base, self._normal_list, self._steps[len(history) % 2],
+        for b, a, step, lo, hi in zip(base, self._normal, self._steps[len(history) % 2],
                                       self.low, self.high):
             c = b - shift * a + step
             c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie

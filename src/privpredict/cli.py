@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .core import ConfigurationError, PlanningError
 from .harness import ExperimentConfig, run_audit, run_experiment
@@ -48,18 +49,8 @@ def _cmd_plan(args) -> int:
     except PlanningError as exc:
         print(f"planning error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps({
-        "mode": args.mode,
-        "k": plan.k,
-        "m": plan.m,
-        "n_total": plan.n_total,
-        "bt_eps": plan.bt_eps,
-        "bt_delta": plan.bt_delta,
-        "bt_alpha": plan.bt_alpha,
-        "bt_beta": plan.bt_beta,
-        "bt_beta_unclamped": plan.bt_beta_unclamped,
-        "vacuous": plan.vacuous,
-    }, indent=2, sort_keys=True))
+    print(json.dumps({"mode": args.mode, **asdict(plan), "vacuous": plan.vacuous},
+                     indent=2, sort_keys=True))
     return 0
 
 

@@ -14,48 +14,6 @@ NEGATIVE = -1
 LABELS = (NEGATIVE, POSITIVE)
 
 
-_UNIT_ROUNDOFF = 2.0**-53
-_TINY = 2.0**-900  # smaller sums of |terms| may hide an underflowed product
-_HUGE = 2.0**1000  # larger ones may have overflowed on the way
-
-
-def certain_sign(a, x, c) -> int:
-    """The sign of sum(a[i] * x[i]) - c if every float evaluation shares it, else 0.
-
-    Returns ``POSITIVE`` or ``NEGATIVE`` only when any IEEE double evaluation
-    of the sum -- rounded products, any summation order, with or without fused
-    multiply-adds, ``c`` subtracted at the end or compared against the dot
-    product exactly -- has that strict sign; ``np.dot(a, x) >= c`` and
-    ``np.dot((*a, c), (*x, -1.0)) >= 0`` then agree with it.  With
-    n = len(a) + 1 terms and S = sum|a[i] * x[i]| + |c|, each such evaluation
-    lies within gamma_n * S of the exact value, gamma_n = n*u / (1 - n*u),
-    u = 2**-53, and so does the one made here.  The sign is returned when the
-    value made here exceeds 4*n*u*S in magnitude, twice the 2*gamma_n*S that
-    puts every evaluation on the same side of zero; the spare factor covers
-    the rounding of S itself and the absolute error of underflowed products.
-    Returns 0 -- so that the caller computes the sign its own way -- when the
-    bound cannot separate the value from zero, when S is 0 or below 2**-900,
-    above 2**1000 or not finite.  Raises ``ValueError`` when ``a`` and ``x``
-    differ in length, as ``np.dot`` does.
-    """
-    if len(a) != len(x):
-        raise ValueError(f"shapes ({len(a)},) and ({len(x)},) not aligned")
-    total = -c
-    size = abs(c)
-    for ai, xi in zip(a, x):
-        term = ai * xi
-        total += term
-        size += abs(term)
-    if not _TINY <= size <= _HUGE:  # also false for a NaN
-        return 0
-    bound = 4 * (len(a) + 1) * _UNIT_ROUNDOFF * size
-    if total > bound:
-        return POSITIVE
-    if total < -bound:
-        return NEGATIVE
-    return 0
-
-
 class ConfigurationError(ValueError):
     """A descriptor or parameter set is invalid before any work starts."""
 

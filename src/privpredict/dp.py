@@ -23,7 +23,7 @@ def laplace(scale: float, noise: NoiseSource) -> float:
 
     A uniform draw of exactly 0.5 maps to the median 0.
     """
-    if scale <= 0:
+    if not scale > 0:  # also rejects nan
         raise ConfigurationError(f"Laplace scale must be positive, got {scale}")
     u = noise.uniform()
     if u < 0.5:
@@ -68,7 +68,7 @@ class BTParams:
     threshold_scale: float = field(init=False, repr=False, compare=False)  # the shared mu
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:  # also rejects nan
             raise ConfigurationError("eps must be positive")
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)")

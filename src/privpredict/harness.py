@@ -8,7 +8,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,11 @@ CSV_COLUMNS = [
 MODES = ("oblivious", "halfspace", "stochastic-baseline")
 
 
+# the Python types a JSON value of each field's annotation may load as; bool,
+# an int subclass, is accepted only for bool fields
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "list": list}
+
+
 @dataclass
 class ExperimentConfig:
     """Flat description of one experiment; serializes to/from JSON verbatim."""
@@ -83,6 +88,14 @@ class ExperimentConfig:
     gates: list = field(default_factory=list)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _JSON_TYPES[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise ConfigurationError(f"{f.name} must be a JSON {f.type}, got {value!r}")
+        for name in ("k", "m", "n_budget", "v_max", "heldout"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.t_rounds < 0 or self.trials < 1:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .core import PlanningError, PreconditionError
-from .dp import BTParams, required_threshold_gap
+from .dp import BTParams, bt_accuracy_sample_bound, required_threshold_gap
+from .geometry import subsample_size_bound
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,40 @@ class PlanResult:
         return BTParams(eps=self.bt_eps, delta=self.bt_delta, n=self.k, max_queries=t_rounds)
 
 
-def _ensemble_size(bt_eps: float, bt_beta: float, t: int) -> int:
-    return math.ceil((64.0 / bt_eps) * (math.log(t + 1.0) + math.log(1.0 / bt_beta)))
+_GAP = BTParams.t_upper - BTParams.t_lower  # of the default vote thresholds
+_ANSWER_ALPHA = _GAP / 2  # the accuracy each answer is sized for
 
 
-def _block_size(d: int, bt_alpha: float, bt_beta: float) -> int:
-    return math.ceil((d * math.log(d / bt_alpha) + math.log(1.0 / bt_beta)) / bt_alpha**2)
-
-
-def _validated(plan: PlanResult, t: int) -> PlanResult:
-    for name, value in (("bt_eps", plan.bt_eps),):
-        if value <= 0:
-            raise PlanningError(f"{name} = {value:.3g} is not positive")
-    for name, value in (("bt_delta", plan.bt_delta), ("bt_alpha", plan.bt_alpha), ("bt_beta", plan.bt_beta)):
+def _check_ranges(eps_name: str, eps: float, **fractions: float) -> None:
+    """Reject an eps outside (0, inf) or a fraction outside (0, 1); nan fails both."""
+    if not 0 < eps < math.inf:
+        raise PlanningError(f"{eps_name} = {eps:.3g} is not positive and finite")
+    for name, value in fractions.items():
         if not 0 < value < 1:
             raise PlanningError(f"{name} = {value:.3g} falls outside (0, 1)")
+
+
+def _gap_checked(plan: PlanResult, t: int) -> PlanResult:
     try:
         plan.bt_params(t)
     except PreconditionError as exc:
         raise PlanningError(f"threshold-gap precondition binds: {exc}") from exc
     return plan
+
+
+def _sized(d: int, t: int, bt_eps: float, bt_delta: float, bt_alpha: float,
+           bt_beta: float) -> PlanResult:
+    """Validate the per-instance parameters, then size the ensemble for answers
+    within ``_ANSWER_ALPHA`` and the blocks for depths within bt_alpha."""
+    _check_ranges("bt_eps", bt_eps, bt_delta=bt_delta, bt_alpha=bt_alpha, bt_beta=bt_beta)
+    try:
+        k = bt_accuracy_sample_bound(_ANSWER_ALPHA, bt_beta, bt_eps, t)
+        m = subsample_size_bound(d, bt_alpha, bt_beta)
+    except ArithmeticError as exc:  # a bound overflows, or bt_alpha**2 underflows to 0
+        raise PlanningError(f"block or ensemble size is not finite: {exc}") from exc
+    plan = PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
+                      bt_alpha=bt_alpha, bt_beta=bt_beta, bt_beta_unclamped=bt_beta)
+    return _gap_checked(plan, t)
 
 
 def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta: float) -> PlanResult:
@@ -74,8 +89,7 @@ def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     """
     if t < 2:
         raise PlanningError("planning needs T >= 2 so that ln(T) is positive")
-    if min(alpha, beta, eps, delta) <= 0 or max(alpha, beta, delta) >= 1:
-        raise PlanningError("targets must satisfy alpha, beta, delta in (0,1) and eps > 0")
+    _check_ranges("eps", eps, alpha=alpha, beta=beta, delta=delta)
     log_t = math.log(t)
     inner = d * log_t / (alpha * beta * eps * delta)
     if inner <= 1.0:
@@ -86,13 +100,7 @@ def plan_oblivious(d: int, t: int, alpha: float, beta: float, eps: float, delta:
     bt_beta = beta * eps / (big_l * math.sqrt(big_l * j) * j)
     bt_delta = delta / big_l
     bt_alpha = alpha / big_l
-    k = _ensemble_size(bt_eps, bt_beta, t)
-    m = _block_size(d, bt_alpha, bt_beta)
-    return _validated(
-        PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
-                   bt_alpha=bt_alpha, bt_beta=bt_beta, bt_beta_unclamped=bt_beta),
-        t,
-    )
+    return _sized(d, t, bt_eps, bt_delta, bt_alpha, bt_beta)
 
 
 def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta: float) -> PlanResult:
@@ -101,8 +109,7 @@ def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta:
         raise PlanningError("planning needs T >= 3 so that ln(ln(T)) is positive")
     if d < 1:
         raise PlanningError("dimension must be >= 1")
-    if min(alpha, beta, eps, delta) <= 0 or max(alpha, beta, delta) >= 1:
-        raise PlanningError("targets must satisfy alpha, beta, delta in (0,1) and eps > 0")
+    _check_ranges("eps", eps, alpha=alpha, beta=beta, delta=delta)
     log_t = math.log(t)
     bt_eps = eps / math.sqrt(d * math.log(d / delta))
     bt_delta = delta / d
@@ -113,13 +120,7 @@ def plan_halfspace(d: int, t: int, alpha: float, beta: float, eps: float, delta:
             f"bt_beta log-term sum {tail:.3g} <= 0 (eps too large relative to d, T, delta)"
         )
     bt_beta = beta * eps / (d * log_t * math.sqrt(d * math.log(d * log_t / delta)) * tail)
-    k = _ensemble_size(bt_eps, bt_beta, t)
-    m = _block_size(d, bt_alpha, bt_beta)
-    return _validated(
-        PlanResult(k=k, m=m, n_total=k * m, bt_eps=bt_eps, bt_delta=bt_delta,
-                   bt_alpha=bt_alpha, bt_beta=bt_beta, bt_beta_unclamped=bt_beta),
-        t,
-    )
+    return _sized(d, t, bt_eps, bt_delta, bt_alpha, bt_beta)
 
 
 def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> PlanResult:
@@ -129,33 +130,23 @@ def plan_budgeted(t: int, n_budget: int, bt_eps: float, bt_delta: float) -> Plan
     precondition at (bt_eps, bt_delta) and divides the budget, leaving the rest
     as block size.  The implied per-instance failure rate is reported as
     bt_beta via the ensemble-size relation, clamped to 0.5; when the clamp
-    binds, the plan is flagged ``vacuous``.  Accuracy granularity stays at the
-    vote thresholds' 1/8.
+    binds, the plan is flagged ``vacuous``.  Accuracy granularity stays at
+    ``_ANSWER_ALPHA``, half the vote thresholds' gap.
     """
     if n_budget < 2:
         raise PlanningError("budget must cover at least two records")
+    _check_ranges("bt_eps", bt_eps, bt_delta=bt_delta)
     # the required gap scales as 1/k: the least k the default vote thresholds admit
-    gap = BTParams.t_upper - BTParams.t_lower
-    k_min = max(math.ceil(required_threshold_gap(bt_eps, bt_delta, 1) / gap), 1)
+    k_min = max(math.ceil(required_threshold_gap(bt_eps, bt_delta, 1) / _GAP), 1)
     k = next((c for c in range(k_min, n_budget + 1) if n_budget % c == 0), None)
     if k is None:
         raise PlanningError(
             f"no ensemble size in [{k_min}, {n_budget}] divides the budget {n_budget}; "
             "the threshold-gap precondition binds"
         )
-    implied_beta = (t + 1.0) * math.exp(-bt_eps * k / 64.0)
-    plan = PlanResult(
-        k=k,
-        m=n_budget // k,
-        n_total=n_budget,
-        bt_eps=bt_eps,
-        bt_delta=bt_delta,
-        bt_alpha=0.125,
-        bt_beta=min(0.5, implied_beta),
-        bt_beta_unclamped=implied_beta,
-    )
-    try:
-        plan.bt_params(t)
-    except PreconditionError as exc:  # k_min arithmetic should prevent this
-        raise PlanningError(f"threshold-gap precondition binds: {exc}") from exc
-    return plan
+    # the failure rate at which bt_accuracy_sample_bound would give this k
+    implied_beta = (t + 1.0) * math.exp(-_ANSWER_ALPHA * bt_eps * k / 8.0)
+    plan = PlanResult(k=k, m=n_budget // k, n_total=n_budget, bt_eps=bt_eps, bt_delta=bt_delta,
+                      bt_alpha=_ANSWER_ALPHA, bt_beta=min(0.5, implied_beta),
+                      bt_beta_unclamped=implied_beta)
+    return _gap_checked(plan, t)  # k_min arithmetic should prevent a failure

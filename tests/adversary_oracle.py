@@ -1,13 +1,16 @@
-"""Scalar reference for ``BoundaryProbeAdversary``.
+"""Scalar reference for ``BoundaryProbeAdversary``: its float rule, written out
+on its own.
 
-It stands alone: ``__init__`` and ``_sync`` are the adversary's from before it
-cached its boundary and drew its uniforms through ``NoiseSource.doubles``, and
-``next_query`` is the numpy-array version from before the probe step was
-rewritten on Python floats, all kept verbatim.  The adversary must give the
-same query bits and leave the noise stream at the same position.
+Every call replays the perceptron from zero weights over the whole history,
+and every sum is an explicit loop that starts from the first product.  The
+base point comes from ``Generator.uniform`` and the clip from ``np.clip``, the
+numpy expressions the adversary repeats in Python floats.  The adversary must
+give the same query bits and leave the noise stream at the same position.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,44 +18,44 @@ from privpredict.adversaries import History
 from privpredict.core import POSITIVE, NoiseSource, Point
 
 
+def _sum_of_products(a, b) -> float:
+    if len(a) != len(b):
+        raise ValueError(f"lengths {len(a)} and {len(b)} differ")
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total = total + a[i] * b[i]
+    return total
+
+
 class BoundaryProbeOracle:
     def __init__(self, low, high, tau: float):
         self.low = tuple(float(c) for c in low)
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
-        self._lo_arr = np.asarray(self.low)
-        self._hi_arr = np.asarray(self.high)
-        self._w = np.zeros(len(self.low) + 1)
-        self._seen = 0
-        self._last_pair = None
 
-    def _sync(self, history: History) -> None:
-        if len(history) < self._seen or (
-            self._seen > 0 and tuple(history[self._seen - 1]) != self._last_pair
-        ):
-            self._w = np.zeros(len(self.low) + 1)
-            self._seen = 0
-        for x, label in history[self._seen:]:
-            lifted = np.asarray(tuple(x) + (-1.0,))
-            predicted = POSITIVE if float(self._w @ lifted) >= 0.0 else -POSITIVE
+    def _weights(self, history: History) -> list[float]:
+        w = [0.0] * (len(self.low) + 1)
+        for x, label in history:
+            value = _sum_of_products(w[:-1], x) - w[-1]
+            predicted = POSITIVE if value >= 0.0 else -POSITIVE
             if predicted != label:
-                self._w = self._w + label * lifted
-        self._seen = len(history)
-        if history:
-            self._last_pair = tuple(history[-1])
+                lifted = list(x) + [-1.0]
+                w = [w[i] + label * lifted[i] for i in range(len(w))]
+        return w
 
     def next_query(self, history: History, noise: NoiseSource) -> Point:
-        self._sync(history)
-        base = noise.rng.uniform(self._lo_arr, self._hi_arr)
-        normal = self._w[:-1]
-        norm = float(np.linalg.norm(normal))
-        if norm == 0.0:
-            return tuple(float(c) for c in base)
-        on_boundary = base - ((float(normal @ base) - self._w[-1]) / norm**2) * normal
+        w = self._weights(history)
+        base = noise.rng.uniform(np.asarray(self.low), np.asarray(self.high)).tolist()
+        normal, offset = w[:-1], w[-1]
+        norm_squared = _sum_of_products(normal, normal)
+        if norm_squared == 0.0:
+            return tuple(base)
+        norm = math.sqrt(norm_squared)
+        shift = (_sum_of_products(normal, base) - offset) / norm_squared
         side = 1.0 if len(history) % 2 == 0 else -1.0
-        probe = on_boundary + side * self.tau * normal / norm
-        probe = np.clip(probe, self._lo_arr, self._hi_arr)
-        return tuple(float(c) for c in probe)
+        probe = [base[i] - shift * normal[i] + side * self.tau * normal[i] / norm
+                 for i in range(len(base))]
+        return tuple(np.clip(probe, self.low, self.high).tolist())
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None

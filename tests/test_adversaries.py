@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adversary_oracle import BoundaryProbeOracle
+from privpredict import adversaries
 from privpredict.adversaries import (
     BoundaryProbeAdversary,
     ObliviousAdversary,
@@ -109,6 +110,13 @@ def _probe_both(fast, slow, history, fast_noise, slow_noise):
     labels=st.sampled_from(["random", "positive", "negative"]),
     mismatch=st.integers(0, 39),
 )
+@example(seed=0, d=1, low=[0.0] * 4, width=[0.0] * 4, tau=0.11, rounds=6, labels="random",
+         mismatch=2)
+@example(seed=0, d=1, low=[-1.0] * 4, width=[0.0] * 4, tau=0.0, rounds=6, labels="negative",
+         mismatch=0)
+# the label flipped at round 0 of 3 must replay, though the last pair matches
+@example(seed=0, d=3, low=[-1.0] * 4, width=[0.0, 0.0, 0.25, 0.0], tau=0.0, rounds=3,
+         labels="random", mismatch=0)
 @settings(max_examples=150, deadline=None)
 def test_boundary_probe_matches_scalar_oracle(seed, d, low, width, tau, rounds, labels, mismatch):
     low, high = tuple(low[:d]), tuple(lo + w for lo, w in zip(low, width[:d]))
@@ -145,33 +153,20 @@ def test_van_der_corput_properties():
     assert xs[0] == 1.0
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
-       normal=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.375, 1.0, 3.0]),
-                       min_size=4, max_size=4),
-       offset=st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
-       low=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]), min_size=4, max_size=4),
-       width=st.lists(st.sampled_from([0.0, 0.25, 2.0]), min_size=4, max_size=4))
-@example(seed=0, d=1, normal=[-1.0] * 4, offset=0.0, low=[0.0] * 4, width=[0.0] * 4)
-@settings(max_examples=150, deadline=None)
-def test_probe_shift_takes_numpy_dot_of_the_base_list(seed, d, normal, offset, low, width):
-    """The probe's buffer holds the base point's bits, and its product with the
-    normal equals ``np.dot`` on the base as a list, the probe's expression
-    before it kept a buffer.
-    A zero-width box at d = 1 gives base [0.0] and, with a negative normal, a
-    -0.0 product, which a product summed onto +0.0 would lose."""
-    normal, low = normal[:d], tuple(low[:d])
-    high = tuple(lo + w for lo, w in zip(low, width))
-    adv = BoundaryProbeAdversary(low, high, 0.11)
-    adv._set_weights(normal + [offset])  # an empty history keeps these weights
-    base = [lo + (hi - lo) * u for lo, hi, u in zip(low, high, NoiseSource(seed).doubles(d))]
-    adv.next_query([], NoiseSource(seed))
-    if not any(normal):
-        return  # no boundary: the base is the query, and no product is taken
-    assert adv._base.tobytes() == np.array(base).tobytes()
-    want = np.dot(np.array(normal), base)
-    assert adv._normal.dot(adv._base).tobytes() == want.tobytes()
-    if d == 1 and normal[0] < 0 and base == [0.0]:
-        assert math.copysign(1.0, float(want)) == -1.0
+@pytest.mark.parametrize("low, high", [((0.0,), (0.0,)), ((-1.0,), (-1.0,)), ((0.0,), (1.0,))])
+def test_boundary_probe_keeps_signed_zero_products_at_d1(low, high):
+    """At d = 1 the first pair meets zero weights at x = -1, a -0.0 product;
+    the next two leave weights (-0.5, 0.0), so a base of 0.0, as the
+    zero-width box at 0 draws, makes the shift's product -0.0 as well."""
+    history = [((-1.0,), 1), ((1.0,), -1), ((0.5,), 1)]
+    assert math.copysign(1.0, adversaries._dot([0.0], (-1.0,))) == -1.0
+    assert math.copysign(1.0, adversaries._dot([-0.5], [0.0])) == -1.0
+    fast, slow = BoundaryProbeAdversary(low, high, 0.11), BoundaryProbeOracle(low, high, 0.11)
+    for seed in range(4):
+        fast_noise, slow_noise = NoiseSource(seed), NoiseSource(seed)
+        for j in range(len(history) + 1):
+            _probe_both(fast, slow, history[:j], fast_noise, slow_noise)
+    assert fast._w == [-0.5, 0.0]
 
 
 def test_boundary_probe_replays_only_when_the_last_pair_seen_changes():

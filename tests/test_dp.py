@@ -27,6 +27,7 @@ from privpredict.dp import (
     laplace,
     required_threshold_gap,
 )
+from privpredict.harness import ExperimentConfig, run_trial
 from zero_noise import ZeroNoise
 
 
@@ -36,6 +37,18 @@ def test_laplace_median_and_validation():
         laplace(0.0, NoiseSource(0))
     with pytest.raises(ConfigurationError):
         laplace(-1.0, NoiseSource(0))
+
+
+def test_nan_eps_and_scale_are_configuration_errors():
+    # nan <= 0 is false: a nan bt_eps used to answer every round TOP and
+    # report a nan final_eps
+    with pytest.raises(ConfigurationError):
+        laplace(math.nan, NoiseSource(0))
+    with pytest.raises(ConfigurationError):
+        BTParams(eps=math.nan, delta=1e-3, n=52)
+    cfg = ExperimentConfig(mode="oblivious", t_rounds=64, k=52, m=40, bt_eps=math.nan)
+    with pytest.raises(ConfigurationError):
+        run_trial(cfg, 0)
 
 
 def test_laplace_variance_monte_carlo():

@@ -130,6 +130,32 @@ def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("value", [
+    {"alpha": "0.1"},
+    {"t_rounds": "8"},
+    {"t_rounds": 8.0},
+    {"seed": True},
+    {"bt_eps": None},
+    {"mode": 1},
+    {"record_timing": 1},
+    {"gates": {}},
+    {"heldout": -5},
+    {"k": -1},
+    {"m": -40},
+    {"n_budget": -600},
+    {"v_max": -1},
+])
+def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, value, capsys):
+    [key] = value
+    with pytest.raises(ConfigurationError, match=key):
+        _small_config(tmp_path, **value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_small_config(tmp_path).to_dict(), **value}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("target", [
     {"alpha": 0.0},
     {"alpha": -1.0},

@@ -123,3 +123,21 @@ def test_closed_form_plans_are_never_vacuous():
 def test_plan_budgeted_infeasible():
     with pytest.raises(PlanningError):
         plan_budgeted(1024, 34, 8.0, 1e-2)  # no admissible divisor above the gap floor
+
+
+@pytest.mark.parametrize("plan_fn", [plan_oblivious, plan_halfspace])
+@pytest.mark.parametrize("override", [dict(eps=1e-320), dict(eps=1e-305), dict(eps=math.inf),
+                                      dict(alpha=math.nan), dict(eps=math.nan),
+                                      dict(delta=math.nan), dict(alpha=1e-200)])
+def test_degenerate_targets_are_planning_errors(plan_fn, override):
+    # each used to end in a ZeroDivisionError, ValueError or OverflowError
+    targets = {**dict(d=1, t=100, alpha=0.1, beta=0.1, eps=0.5, delta=0.1), **override}
+    with pytest.raises(PlanningError):
+        plan_fn(**targets)
+
+
+@pytest.mark.parametrize("bt_eps, bt_delta", [(math.nan, 1e-2), (0.0, 1e-2), (8.0, math.nan),
+                                              (8.0, 0.0)])
+def test_plan_budgeted_rejects_bad_instance_parameters(bt_eps, bt_delta):
+    with pytest.raises(PlanningError):
+        plan_budgeted(1024, 600, bt_eps, bt_delta)

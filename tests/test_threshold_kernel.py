@@ -22,7 +22,6 @@ from privpredict.core import (
     GridDistribution,
     LabeledSample,
     NoiseSource,
-    certain_sign,
     draw_sample,
 )
 
@@ -184,11 +183,11 @@ def test_grid_labels_match_pointwise_label(size, n, seed, d, data):
     box = BoxDistribution((-1.0,) * d, (1.0,) * d, tuple(normal.tolist()), offset)
     # projected onto the boundary, each product lies within rounding of the
     # offset; there, at drawn[0] and one ulp from it along each axis, the
-    # filter leaves the sign to numpy's product
+    # sign is up to the last bits of numpy's product
     projected = drawn - np.outer(drawn @ normal - offset, normal) / (normal @ normal)
     up = drawn[0] + np.diag(np.nextafter(drawn[0], 2.0) - drawn[0])
     down = drawn[0] + np.diag(np.nextafter(drawn[0], -2.0) - drawn[0])
-    assert certain_sign(box.normal, tuple(drawn[0].tolist()), offset) == 0
+    assert float(np.dot(normal, drawn[0])) == offset
     _assert_labels_pointwise(box, np.vstack([drawn, projected, up, down]))
 
     pool = [tuple(rng.integers(-2, 3, d).astype(float).tolist()) for _ in range(4)]
