@@ -1,16 +1,19 @@
 """Query-stream generators: offline/oblivious fixed lists, stochastic draws, and
 an adaptive boundary probe that reads only the public (point, label) transcript.
 
-The adaptive adversary is a pure function of the public history plus its own
-noise source, so feeding it anything beyond (x, Label) pairs is impossible by
-construction.
+An adversary takes one call per round, ``next_query(j, label, noise)``: j is
+the public 1-based round index, and label the label released for the
+adversary's previous query (None on round 1).  What it sees of a run is
+therefore its own queries and their labels, by construction of the interface.
+The oblivious, offline and stochastic adversaries ignore the label and keep no
+state, so one instance may serve many runs; the boundary probe keeps its last
+query and its perceptron, and serves one run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +26,6 @@ from .core import (
     POSITIVE,
 )
 
-History = Sequence[tuple[Point, int]]
-
 
 @dataclass(frozen=True)
 class ObliviousAdversary:
@@ -32,11 +33,11 @@ class ObliviousAdversary:
 
     points: tuple[Point, ...]
 
-    def next_query(self, history: History, noise: NoiseSource) -> Point:
-        j = len(history)
-        if j >= len(self.points):
-            raise StreamExhausted(f"fixed query list of length {len(self.points)} is exhausted")
-        return self.points[j]
+    def next_query(self, j: int, label: int | None, noise: NoiseSource) -> Point:
+        if not 0 < j <= len(self.points):
+            raise StreamExhausted(f"fixed query list of length {len(self.points)} "
+                                  f"has no query {j}")
+        return self.points[j - 1]
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None
@@ -59,7 +60,7 @@ class StochasticAdversary:
 
     dist: DataDistribution
 
-    def next_query(self, history: History, noise: NoiseSource) -> Point:
+    def next_query(self, j: int, label: int | None, noise: NoiseSource) -> Point:
         return tuple(self.dist.sample_points(1, noise)[0].tolist())
 
     def disclose(self) -> tuple[Point, ...] | None:
@@ -67,15 +68,12 @@ class StochasticAdversary:
 
 
 def _dot(a, b) -> float:
-    """Sum a[i] * b[i] as ((a[0]*b[0] + a[1]*b[1]) + a[2]*b[2]) + ..., from the
-    first product on, so a lone -0.0 product stays -0.0 (``sum`` would start
-    from the int 0).  Elementwise numpy repeats it bit for bit as
-    ``s = A[:, 0] * B[:, 0]; s += A[:, 1] * B[:, 1]; ...``.  Raises
-    ``ValueError`` when the lengths differ."""
-    pairs = zip(a, b, strict=True)
-    a0, b0 = next(pairs)
-    total = a0 * b0
-    for ai, bi in pairs:
+    """Sum a[i] * b[i] as ((a[0]*b[0] + a[1]*b[1]) + a[2]*b[2]) + ...  The sum
+    starts from -0.0, which adds to any float exactly, so a lone -0.0 product
+    stays -0.0 (``sum`` would start from the int 0).  Elementwise numpy repeats
+    it bit for bit as ``s = A[:, 0] * B[:, 0]; s += A[:, 1] * B[:, 1]; ...``."""
+    total = -0.0
+    for ai, bi in zip(a, b):
         total += ai * bi
     return total
 
@@ -85,10 +83,10 @@ class BoundaryProbeAdversary:
     updates on the observed (point, label) pairs, then query at distance tau from
     it, alternating sides.
 
-    The weights are advanced incrementally while calls see the same history
-    growing by appends; a history that does not begin with the pairs consumed
-    so far triggers a full replay, so the query stream stays a pure function
-    of the (point, label) pairs.
+    Each call first folds its previous query and the label released for it
+    into the perceptron, then asks round j's query on side (j - 1) % 2.  So
+    the query stream is a function of the labels and the noise alone, and one
+    instance serves one run.
 
     All arithmetic is in Python floats.  With weights w = (a, offset):
     - the perceptron predicts +1 at x iff ``_dot(a, x) - offset >= 0``, and an
@@ -96,74 +94,58 @@ class BoundaryProbeAdversary:
     - a query draws base = low + span * u, shifts it onto the boundary by
       ``(_dot(a, base) - offset) / _dot(a, a)`` times a, steps tau * a / |a|
       off it, |a| = sqrt(_dot(a, a)), and clips to the box.
+    A query sums its products in ``_dot``'s order while it builds the point,
+    and so sums the prediction at itself under the weights that built it: the
+    weights its label is folded into on the next call.
     """
 
     def __init__(self, low, high, tau: float):
         self.low = tuple(float(c) for c in low)
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
-        self._span = [hi - lo for lo, hi in zip(self.low, self.high)]
         self._set_weights([0.0] * (len(self.low) + 1))
-        self._pairs = []  # the pairs the weights have consumed
-        self._history = None
+        self._last = self._predicted = None  # the previous query, and the sign at it
 
     def _set_weights(self, w: list[float]) -> None:
-        """Take new weights and the boundary quantities every query reads."""
+        """Take new weights and, per side, the row (lo, span, a, step, hi) of
+        each coordinate that a query reads."""
         self._w = w
-        self._normal = normal = w[:-1]
+        normal = w[:-1]
         self._offset = w[-1]
         self._norm_squared = _dot(normal, normal)
         norm = math.sqrt(self._norm_squared)
         # (-tau * a) / |a| is the exact negation of (tau * a) / |a|, so the
         # steps to the two sides are these terms and their negations
-        ahead = [self.tau * a / norm for a in normal] if norm else []
-        self._steps = (ahead, [-term for term in ahead])
+        ahead = [self.tau * a / norm if norm else 0.0 for a in normal]
+        self._rows = tuple([(lo, hi - lo, a, step, hi)
+                            for lo, hi, a, step in zip(self.low, self.high, normal, steps)]
+                           for steps in (ahead, [-step for step in ahead]))
 
-    def _sync(self, history: History) -> None:
-        """Advance the perceptron over the pairs not yet seen.
-
-        The weights are kept when the history begins with the pairs already
-        consumed, and replayed from zero otherwise.  A new sequence, or one
-        whose last consumed pair is no longer the same object, is compared
-        pair by pair; the list a run appends to is only checked at that pair.
-        """
-        pairs = self._pairs
-        seen = len(pairs)
-        if history is not self._history or len(history) < seen or (
-                seen and history[seen - 1] is not pairs[-1]):
-            self._history = history
-            if list(history[:seen]) != pairs:
-                self._set_weights([0.0] * (len(self.low) + 1))
-                pairs.clear()
-                seen = 0
-        w = self._w
-        normal, offset = self._normal, self._offset  # w[:-1] and w[-1]
-        for x, label in history[seen:]:
-            predicted = POSITIVE if _dot(normal, x) - offset >= 0.0 else -POSITIVE
-            if predicted != label:
-                w = [wi + label * li for wi, li in zip(w, (*x, -1.0))]
-                normal, offset = w[:-1], w[-1]
-        if w is not self._w:
-            self._set_weights(w)
-        pairs += history[seen:]
-
-    def next_query(self, history: History, noise: NoiseSource) -> Point:
-        self._sync(history)
+    def next_query(self, j: int, label: int | None, noise: NoiseSource) -> Point:
+        if label is not None and label != self._predicted:
+            self._set_weights([wi + label * li for wi, li in zip(self._w, (*self._last, -1.0))])
+        rows = self._rows[(j - 1) % 2]
         # rng.uniform(low, high) at the same stream position: lo + span*u is
         # the same two IEEE operations in Python floats as in numpy
-        base = [lo + span * u
-                for lo, span, u in zip(self.low, self._span, noise.doubles(len(self.low)))]
-        if not self._norm_squared:
-            return tuple(base)
-        shift = (_dot(self._normal, base) - self._offset) / self._norm_squared
-        probe = []
-        # on the boundary, then tau off it, to alternating sides
-        for b, a, step, lo, hi in zip(base, self._normal, self._steps[len(history) % 2],
-                                      self.low, self.high):
-            c = b - shift * a + step
-            c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie
-            probe.append(c if c < hi else hi)
-        return tuple(probe)
+        base, total = [], -0.0
+        for (lo, span, a, _, _), u in zip(rows, noise.doubles(len(rows))):
+            b = lo + span * u
+            base.append(b)
+            total += a * b
+        if self._norm_squared:
+            shift = (total - self._offset) / self._norm_squared
+            probe, total = [], -0.0
+            # on the boundary, then tau off it, to alternating sides
+            for b, (lo, _, a, step, hi) in zip(base, rows):
+                c = b - shift * a + step
+                c = c if c > lo else lo  # np.clip's comparisons: a bound wins a tie
+                c = c if c < hi else hi
+                probe.append(c)
+                total += a * c
+            base = probe
+        self._predicted = POSITIVE if total - self._offset >= 0.0 else -POSITIVE
+        self._last = x = tuple(base)
+        return x
 
     def disclose(self) -> tuple[Point, ...] | None:
         return None

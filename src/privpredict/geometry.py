@@ -344,7 +344,7 @@ def _unit_lift(basis: np.ndarray, coeffs: np.ndarray,
     return points, nonzero
 
 
-def _check_cap(n: int, r: int, sphere_samples: int) -> int:
+def check_cap(n: int, r: int, sphere_samples: int) -> int:
     """Candidate slots per block; more than CANDIDATE_CAP is a CapabilityError."""
     n_boundary = 2 * math.comb(n, r - 1) if r > 1 else 2
     if n_boundary + sphere_samples > CANDIDATE_CAP:
@@ -543,7 +543,7 @@ def arrangement_candidates(
     r = subspace.dimension
     if r < 1:
         raise ConfigurationError("candidate generation needs a subspace of dimension >= 1")
-    _check_cap(len(profile), r, sphere_samples)
+    check_cap(len(profile), r, sphere_samples)
     points, _ = _block_candidates(_one_block(profile, subspace), subspace.basis,
                                   _lifted_sphere(subspace.basis, sphere_samples))
     return points if len(points) else np.empty(0)
@@ -580,7 +580,7 @@ def argmax_cdepth_blocks(
     if r == 0:
         # the degenerate all-zero hypothesis satisfies every constraint weakly
         return np.zeros((k, ambient)), np.full(k, n, dtype=np.intp)
-    slots = _check_cap(n, r, sphere_samples)
+    slots = check_cap(n, r, sphere_samples)
     sphere = _lifted_sphere(subspace.basis, sphere_samples)
     step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + 4 * ambient)))
     points = np.empty((k, ambient))

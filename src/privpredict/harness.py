@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import planner
+from . import geometry, planner
 from .adversaries import (
     BoundaryProbeAdversary,
     OfflineAdversary,
@@ -24,6 +24,7 @@ from .concepts import Ensemble, ThresholdClass, load_enumerated_class
 from .core import (
     AtomDistribution,
     BoxDistribution,
+    CapabilityError,
     ConfigurationError,
     GridDistribution,
     LabeledSample,
@@ -93,7 +94,7 @@ class ExperimentConfig:
             if not isinstance(value, _JSON_TYPES[f.type]) or (
                     isinstance(value, bool) and f.type != "bool"):
                 raise ConfigurationError(f"{f.name} must be a JSON {f.type}, got {value!r}")
-        for name in ("k", "m", "n_budget", "v_max", "heldout"):
+        for name in ("seed", "k", "m", "n_budget", "v_max", "heldout"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mode not in MODES:
@@ -210,6 +211,12 @@ def _class_vc_dimension(path: str, content: bytes) -> int:
 def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
     k, m = cfg.resolve_plan()
     generator = "halfspace" if cfg.mode == "halfspace" else "oblivious"
+    if generator == "halfspace":
+        try:  # the first refit runs at full dimension d + 1, so it has the most candidates
+            geometry.check_cap(m, cfg.d + 1, sphere_samples=64)  # the refit's sphere samples
+        except CapabilityError as exc:
+            raise ConfigurationError(f"halfspace blocks of m={m} points in d={cfg.d} "
+                                     f"overflow geometry.CANDIDATE_CAP: {exc}") from exc
     if cfg.v_max:
         v_max = cfg.v_max
     else:
@@ -310,6 +317,7 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all trials, write runs/<digest>/<seed>.json and aggregate.csv."""
+    build_run_spec(cfg)  # a plan no trial can run fails before anything is written
     digest = cfg.digest()
     out_root = Path(cfg.out_dir) / "runs" / digest
     out_root.mkdir(parents=True, exist_ok=True)

@@ -205,6 +205,10 @@ def run(
 ) -> RunReport:
     """Answer spec.t_rounds adversarial queries with the block ensemble.
 
+    Round j asks ``adversary.next_query(j, label, noise)`` once, with the label
+    released on round j - 1 (None on round 1); the report's rounds are the one
+    transcript the run keeps.
+
     The privacy ledger collects one (bt_eps, bt_delta) entry per halted
     mechanism instance; totals come from advanced composition.  Exceeding the
     top budget aborts the run (recorded, not raised).
@@ -231,7 +235,6 @@ def run(
                        bt_eps=spec.bt_eps, bt_delta=spec.bt_delta)
     ledger = PrivacyLedger()
     bt_state = bt_init(params, mech_noise)
-    history: list[tuple[Point, int]] = []
 
     def refresh(round_index: int) -> None:
         """Refit the ensemble before round_index, the first round it answers."""
@@ -249,15 +252,14 @@ def run(
     ensemble = vote = None
     refresh(1)
     # bound once: the loop's calls skip the attribute lookups
-    k, next_query = spec.k, adversary.next_query
-    add_round, add_pair = report.rounds.append, history.append
+    k, next_query, add_round = spec.k, adversary.next_query, report.rounds.append
+    label = None
     for j in range(1, spec.t_rounds + 1):
-        x = next_query(history, adv_noise)
+        x = next_query(j, label, adv_noise)
         q = vote(x) / k
         outcome, label = answer_query(bt_state, q, mech_noise)
         # _value_ is the plain attribute behind the slower enum property .value
         add_round({"round": j, "x": x, "outcome": outcome._value_, "label": label, "q": q})
-        add_pair((x, label))
         if outcome is _TOP:
             ledger.append(spec.bt_eps, spec.bt_delta)
             report.top_count += 1
@@ -272,10 +274,11 @@ def run(
             refresh(j + 1)
             bt_state = bt_init(params, mech_noise)
 
-    if target is not None and history:
-        n, d = len(history), len(history[0][0])
-        points = np.fromiter(chain.from_iterable(x for x, _ in history), float, count=n * d)
-        released = np.fromiter((label for _, label in history), np.int64, count=n)
+    rounds = report.rounds
+    if target is not None and rounds:
+        n, d = len(rounds), len(rounds[0]["x"])
+        points = np.fromiter(chain.from_iterable(r["x"] for r in rounds), float, count=n * d)
+        released = np.fromiter((r["label"] for r in rounds), np.int64, count=n)
         report.wrong_predictions = int(np.count_nonzero(
             target.labels(points.reshape(n, d)) != released))
     report.degenerate = generator.degenerate

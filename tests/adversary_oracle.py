@@ -1,8 +1,10 @@
 """Scalar reference for ``BoundaryProbeAdversary``: its float rule, written out
 on its own.
 
-Every call replays the perceptron from zero weights over the whole history,
-and every sum is an explicit loop that starts from the first product.  The
+The oracle keeps the whole history of its queries and their labels.  Every
+call appends the last query and the label it is given, replays the perceptron
+from zero weights over the whole history and takes its side from the history's
+length; every sum is an explicit loop that starts from the first product.  The
 base point comes from ``Generator.uniform`` and the clip from ``np.clip``, the
 numpy expressions the adversary repeats in Python floats.  The adversary must
 give the same query bits and leave the noise stream at the same position.
@@ -11,11 +13,13 @@ give the same query bits and leave the noise stream at the same position.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from privpredict.adversaries import History
 from privpredict.core import POSITIVE, NoiseSource, Point
+
+History = Sequence[tuple[Point, int]]
 
 
 def _sum_of_products(a, b) -> float:
@@ -32,6 +36,8 @@ class BoundaryProbeOracle:
         self.low = tuple(float(c) for c in low)
         self.high = tuple(float(c) for c in high)
         self.tau = float(tau)
+        self.history: list[tuple[Point, int]] = []
+        self._last = None
 
     def _weights(self, history: History) -> list[float]:
         w = [0.0] * (len(self.low) + 1)
@@ -43,7 +49,16 @@ class BoundaryProbeOracle:
                 w = [w[i] + label * lifted[i] for i in range(len(w))]
         return w
 
-    def next_query(self, history: History, noise: NoiseSource) -> Point:
+    def next_query(self, j: int, label: int | None, noise: NoiseSource) -> Point:
+        if label is not None:
+            self.history.append((self._last, label))
+        if j != len(self.history) + 1:
+            raise ValueError(f"round {j} follows {len(self.history)} labelled queries")
+        self._last = self.query(self.history, noise)
+        return self._last
+
+    def query(self, history: History, noise: NoiseSource) -> Point:
+        """The query after ``history``, a pure function of it and the noise."""
         w = self._weights(history)
         base = noise.rng.uniform(np.asarray(self.low), np.asarray(self.high)).tolist()
         normal, offset = w[:-1], w[-1]

@@ -17,74 +17,64 @@ from privpredict.adversaries import (
 from privpredict.core import AtomDistribution, NoiseSource, StreamExhausted
 
 
+def _stream(adv, labels, noise):
+    """Round j = 1, 2, ... of a run: the query after the label released for
+    the previous one."""
+    return [adv.next_query(j, label, noise) for j, label in enumerate((None, *labels), 1)]
+
+
 def test_oblivious_order_and_exhaustion():
     adv = ObliviousAdversary(((1.0,), (2.0,), (3.0,)))
     ns = NoiseSource(0)
-    history = []
-    seen = []
-    for label in (1, -1, 1):
-        x = adv.next_query(history, ns)
-        seen.append(x)
-        history.append((x, label))
-    assert seen == [(1.0,), (2.0,), (3.0,)]
-    with pytest.raises(StreamExhausted):
-        adv.next_query(history, ns)
+    assert _stream(adv, (1, -1), ns) == [(1.0,), (2.0,), (3.0,)]
+    for j in (0, 4):
+        with pytest.raises(StreamExhausted):
+            adv.next_query(j, 1, ns)
     assert adv.disclose() is None
     assert OfflineAdversary(((1.0,),)).disclose() == ((1.0,),)
 
 
 def test_obliviousness_across_predictors():
     points = tuple((float(i),) for i in range(8))
-    flip, agree = [], []
-    for answers, bucket in ((lambda j: 1 if j % 2 else -1, flip), (lambda j: 1, agree)):
-        adv = ObliviousAdversary(points)
-        history = []
-        ns = NoiseSource(1)
-        for j in range(8):
-            x = adv.next_query(history, ns)
-            bucket.append(x)
-            history.append((x, answers(j)))
-    assert flip == agree
-
-
-def test_boundary_probe_restart_resets_state():
-    adv = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
-    ns = NoiseSource(0)
-    h1 = []
-    x = adv.next_query(h1, ns)
-    h1.append((x, -1))
-    adv.next_query(h1, ns)
-    # a fresh, different history must replay from scratch
-    h2 = [((0.5, 0.25), -1), ((-0.25, 0.5), 1)]
-    x2 = adv.next_query(h2, NoiseSource(5))
-    fresh = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
-    assert x2 == fresh.next_query(h2, NoiseSource(5))
+    adv = ObliviousAdversary(points)
+    flip = _stream(adv, [1 if j % 2 else -1 for j in range(7)], NoiseSource(1))
+    agree = _stream(adv, [1] * 7, NoiseSource(1))
+    assert flip == agree == list(points)
 
 
 def test_stochastic_point_mass_constant():
     dist = AtomDistribution(((4.0,),), (1.0,), (1,))
     adv = StochasticAdversary(dist)
     ns = NoiseSource(1)
-    assert {adv.next_query([], ns) for _ in range(5)} == {(4.0,)}
+    assert set(_stream(adv, (1, -1, 1, 1), ns)) == {(4.0,)}
 
 
 def test_boundary_probe_pure_function_of_pairs():
-    pairs = [((0.3, 0.4), 1), ((-0.2, 0.1), -1), ((0.5, -0.5), 1)]
-    a = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
-    b = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1)
-    qa = [a.next_query(pairs[:j], NoiseSource(9).child(j)) for j in range(4)]
-    qb = [b.next_query(pairs[:j], NoiseSource(9).child(j)) for j in range(4)]
+    """The probe's queries are a function of its (query, label) pairs and the
+    noise: the same labels give the same stream, a changed label another."""
+    labels = (1, -1, -1, 1, -1, 1, 1)
+    qa, qb = (_stream(BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1), labels,
+                      NoiseSource(9)) for _ in range(2))
     assert qa == qb
+    flipped = _stream(BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), tau=0.1),
+                      (-1,) + labels[1:], NoiseSource(9))
+    assert flipped[0] == qa[0] and flipped != qa  # the label of query 1 is read from round 2 on
 
 
 def test_boundary_probe_distance_tau():
     adv = BoundaryProbeAdversary((-10.0, -10.0), (10.0, 10.0), tau=0.25)
-    pairs = [((1.0, 0.0), 1), ((-1.0, 0.0), -1), ((0.0, 1.0), 1), ((2.0, 0.3), 1)]
     ns = NoiseSource(3)
-    q = np.asarray(adv.next_query(pairs, ns))
-    w = adv._w
-    dist = abs(float(w[:-1] @ q) - w[-1]) / np.linalg.norm(w[:-1])
-    assert dist == pytest.approx(0.25, abs=1e-9)
+    probes = 0
+    for j in range(1, 41):
+        # labels of the halfspace x0 + x1/2 >= 1/4, so the boundary crosses the box
+        q = np.asarray(adv.next_query(j, None if j == 1 else label, ns))
+        label = 1 if q[0] + q[1] / 2 >= 0.25 else -1
+        w = np.asarray(adv._w)
+        if w[:-1].any() and (np.abs(q) < 10.0).all():  # not clipped
+            dist = abs(float(w[:-1] @ q) - w[-1]) / np.linalg.norm(w[:-1])
+            assert dist == pytest.approx(0.25, abs=1e-9)
+            probes += 1
+    assert probes > 20
 
 
 def _bits(point) -> bytes:
@@ -92,12 +82,21 @@ def _bits(point) -> bytes:
     return np.array(point).tobytes()
 
 
-def _probe_both(fast, slow, history, fast_noise, slow_noise):
-    """One query from each adversary: same bits, same next draw of the stream."""
-    x = fast.next_query(history, fast_noise)
-    assert _bits(x) == _bits(slow.next_query(history, slow_noise))
+def _probe_both(fast, slow, j, label, fast_noise, slow_noise):
+    """Round j's query from each adversary: same bits, same next draw of the stream."""
+    x = fast.next_query(j, label, fast_noise)
+    assert _bits(x) == _bits(slow.next_query(j, label, slow_noise))
     assert fast_noise.doubles(1) == [slow_noise.rng.random()]
     return x
+
+
+def _run_both(low, high, tau, labels, seed):
+    """The probe and the oracle fed the same labels, round by round."""
+    fast, slow = BoundaryProbeAdversary(low, high, tau), BoundaryProbeOracle(low, high, tau)
+    fast_noise, slow_noise = NoiseSource(seed).child(1), NoiseSource(seed).child(1)
+    for j, label in enumerate((None, *labels), 1):
+        _probe_both(fast, slow, j, label, fast_noise, slow_noise)
+    return fast
 
 
 @given(
@@ -108,41 +107,43 @@ def _probe_both(fast, slow, history, fast_noise, slow_noise):
     tau=st.sampled_from([0.0, 0.11, 0.5, 25.0]),
     rounds=st.integers(1, 40),
     labels=st.sampled_from(["random", "positive", "negative"]),
-    mismatch=st.integers(0, 39),
 )
-@example(seed=0, d=1, low=[0.0] * 4, width=[0.0] * 4, tau=0.11, rounds=6, labels="random",
-         mismatch=2)
-@example(seed=0, d=1, low=[-1.0] * 4, width=[0.0] * 4, tau=0.0, rounds=6, labels="negative",
-         mismatch=0)
-# the label flipped at round 0 of 3 must replay, though the last pair matches
+@example(seed=0, d=1, low=[0.0] * 4, width=[0.0] * 4, tau=0.11, rounds=6, labels="random")
+@example(seed=0, d=1, low=[-1.0] * 4, width=[0.0] * 4, tau=0.0, rounds=6, labels="negative")
 @example(seed=0, d=3, low=[-1.0] * 4, width=[0.0, 0.0, 0.25, 0.0], tau=0.0, rounds=3,
-         labels="random", mismatch=0)
+         labels="random")
 @settings(max_examples=150, deadline=None)
-def test_boundary_probe_matches_scalar_oracle(seed, d, low, width, tau, rounds, labels, mismatch):
+def test_boundary_probe_matches_scalar_oracle(seed, d, low, width, tau, rounds, labels):
     low, high = tuple(low[:d]), tuple(lo + w for lo, w in zip(low, width[:d]))
-    fast, slow = BoundaryProbeAdversary(low, high, tau), BoundaryProbeOracle(low, high, tau)
-    fast_noise, slow_noise = NoiseSource(seed).child(1), NoiseSource(seed).child(1)
     rng = np.random.default_rng(seed)
-    history = []
-    for _ in range(rounds):  # all-positive labels keep the weights at zero throughout
-        x = _probe_both(fast, slow, history, fast_noise, slow_noise)
-        label = {"positive": 1, "negative": -1}.get(labels, int(rng.choice([-1, 1])))
-        history.append((x, label))
-    # a history that differs from the consumed one before its end forces a replay
-    j = mismatch % rounds
-    replayed = history[:j] + [(history[j][0], -history[j][1])] + history[j + 1:]
-    for h in (replayed, replayed[: j + 1], history, []):
-        _probe_both(fast, slow, h, fast_noise, slow_noise)
+    # all-positive labels keep the weights at zero throughout
+    released = [{"positive": 1, "negative": -1}.get(labels, int(rng.choice([-1, 1])))
+                for _ in range(rounds - 1)]
+    _run_both(low, high, tau, released, seed)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    low=st.lists(st.sampled_from([-0.0, 0.0, -1.0, 0.5]), min_size=3, max_size=3),
+    width=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=3, max_size=3),
+    labels=st.lists(st.sampled_from([-1, 1]), max_size=30),
+)
+@settings(max_examples=150, deadline=None)
+def test_boundary_probe_on_its_boundary_matches_scalar_oracle(seed, d, low, width, labels):
+    """tau = 0 queries the boundary estimate itself.  Zero-width sides and
+    bounds of -0.0 make clip ties and signed zeros; any label sequence goes."""
+    low, high = tuple(low[:d]), tuple(lo + w for lo, w in zip(low, width[:d]))
+    _run_both(low, high, 0.0, labels, seed)
 
 
 def test_boundary_probe_clips_to_the_box():
     adv = BoundaryProbeAdversary((0.0, -1.0), (1.0, 0.0), tau=25.0)
-    pairs = [((0.5, -0.5), -1), ((0.25, -0.75), 1)]
-    ns = NoiseSource(4)
-    for j in range(3):
-        x = adv.next_query(pairs[:j], ns)
-        assert 0.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 0.0
-    assert 0.0 in x or 1.0 in x or -1.0 in x  # tau far exceeds the box: the probe was clipped
+    queries = _stream(adv, (-1, 1, -1, -1, 1), NoiseSource(4))
+    assert all(0.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 0.0 for x in queries)
+    # tau far exceeds the box: once the weights leave zero, each probe is clipped
+    assert adv._w[:-1] != [0.0, 0.0]
+    assert 0.0 in queries[-1] or 1.0 in queries[-1] or -1.0 in queries[-1]
 
 
 def test_van_der_corput_properties():
@@ -155,40 +156,11 @@ def test_van_der_corput_properties():
 
 @pytest.mark.parametrize("low, high", [((0.0,), (0.0,)), ((-1.0,), (-1.0,)), ((0.0,), (1.0,))])
 def test_boundary_probe_keeps_signed_zero_products_at_d1(low, high):
-    """At d = 1 the first pair meets zero weights at x = -1, a -0.0 product;
-    the next two leave weights (-0.5, 0.0), so a base of 0.0, as the
-    zero-width box at 0 draws, makes the shift's product -0.0 as well."""
-    history = [((-1.0,), 1), ((1.0,), -1), ((0.5,), 1)]
+    """At d = 1 the first query meets zero weights, and at x = -1 or at a
+    negative weight against x = 0 a product is -0.0; the probe's sums keep
+    it, as the oracle's sums from the first product do."""
     assert math.copysign(1.0, adversaries._dot([0.0], (-1.0,))) == -1.0
     assert math.copysign(1.0, adversaries._dot([-0.5], [0.0])) == -1.0
-    fast, slow = BoundaryProbeAdversary(low, high, 0.11), BoundaryProbeOracle(low, high, 0.11)
     for seed in range(4):
-        fast_noise, slow_noise = NoiseSource(seed), NoiseSource(seed)
-        for j in range(len(history) + 1):
-            _probe_both(fast, slow, history[:j], fast_noise, slow_noise)
-    assert fast._w == [-0.5, 0.0]
-
-
-def test_boundary_probe_replays_only_when_the_last_pair_seen_changes():
-    """The pair seen last is found by identity in an appended history, and by
-    equality in a copy of it; neither replays the perceptron.  A copy whose
-    last seen label differs replays it from zero weights."""
-    adv = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1)
-    noise = NoiseSource(5)
-    history = []
-    for j in range(12):
-        x = adv.next_query(history, noise)
-        history.append((x, 1 if j % 3 else -1))
-    adv.next_query(history, noise)
-    resets = []
-    set_weights = adv._set_weights
-    adv._set_weights = lambda w: (resets.append(list(w)), set_weights(w))
-    copy = [(tuple(x), label) for x, label in history]
-    for h in (history, copy):
-        x = adv.next_query(h, NoiseSource(6))
-        assert x == BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1).next_query(h, NoiseSource(6))
-    assert resets == []
-    changed = copy[:-1] + [(copy[-1][0], -copy[-1][1])]
-    x = adv.next_query(changed, NoiseSource(6))
-    assert resets[0] == [0.0, 0.0, 0.0]
-    assert x == BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.1).next_query(changed, NoiseSource(6))
+        for labels in ((1, -1, 1), (-1, -1, 1, -1), (-1, 1, 1, -1, 1)):
+            _run_both(low, high, 0.11, labels, seed)

@@ -105,6 +105,26 @@ def test_every_hook_but_the_listed_ones_sees_a_call(tracing):
     assert {name for name, count in calls.items() if count == 0} == NEVER_CALLED
 
 
+def test_answer_clock_takes_one_sample_between_two_adversary_calls(tracing):
+    """The clock times the gap from one ``next_query`` return to the next call,
+    so a run that asks its adversary once per round leaves T - 1 samples."""
+    from privpredict import harness
+
+    workloads = importlib.import_module("workloads").WORKLOADS
+    clock, patches = tracing.AnswerClock(), tracing.Patches()
+    try:
+        clock.install(patches)
+        for name, short in (("halfspace-adaptive", dict(t_rounds=64)),
+                            ("oblivious-sweep", dict(t_rounds=256, heldout=100))):
+            cfg = harness.ExperimentConfig(seed=0, **dict(workloads[name].config, **short))
+            clock.new_job()
+            _, payload = harness.run_trial(cfg, 0)
+            assert len(payload["rounds"]) == cfg.t_rounds, name
+            assert len(clock.samples) == cfg.t_rounds - 1, name
+    finally:
+        patches.restore()
+
+
 COUNTED = ("dp.bt_query_calls", "dp.bt_init_calls", "dp.laplace_calls", "dp.top_frac")
 
 

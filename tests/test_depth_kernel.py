@@ -562,9 +562,17 @@ def test_halfspace_trials_byte_identical_to_scalar_kernel(monkeypatch):
         return np.array([r.point for r in results]), np.array([r.value for r in results])
 
     monkeypatch.setattr(geometry, "argmax_cdepth_blocks", per_block_oracle)
-    monkeypatch.setattr(harness, "BoundaryProbeAdversary", adversary_oracle.BoundaryProbeOracle)
+    probes = []
+
+    def scalar_probe(*args):
+        probes.append(adversary_oracle.BoundaryProbeOracle(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(harness, "BoundaryProbeAdversary", scalar_probe)
     scalar = [_canonical(*run_trial(cfg, i)) for i in (0, 1)]
     assert refits and set(refits) == {40}  # every refresh refit all k = 600 // 15 blocks
+    # one oracle per run, told the label of every query but the last
+    assert [len(probe.history) for probe in probes] == [cfg.t_rounds - 1] * 2
     for got, want in zip(batched, scalar, strict=True):
         _assert_same_but_last_bits_of_weights(got, want)
     _assert_block_error_matches_scalar(seen)

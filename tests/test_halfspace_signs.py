@@ -1,8 +1,7 @@
 """The halfspace signs that numpy decides, against the numpy expressions they
 replace (``sign_oracle``): ``BoxDistribution.label`` against ``np.dot``, and the
 stack of (1 x d) @ (d x 1) products that ``BoxDistribution.labels`` takes in
-place of one ``np.dot`` per point.  Also the wrong-dimension errors of the label
-and of the boundary probe's perceptron step."""
+place of one ``np.dot`` per point.  Also the label's wrong-dimension errors."""
 
 import math
 
@@ -12,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sign_oracle
-from privpredict.adversaries import BoundaryProbeAdversary
-from privpredict.core import BoxDistribution, NoiseSource
+from privpredict.core import BoxDistribution
 
 
 def _same(u, v) -> bool:
@@ -68,17 +66,10 @@ def test_stacked_products_equal_dot_bit_for_bit(case):
         assert _same([got] * 3, want), (a, row)
 
 
-def test_wrong_dimension_raises_in_label_and_sync():
+def test_wrong_dimension_raises_in_label():
     dist = BoxDistribution((-1.0, -1.0), (1.0, 1.0), (0.6, -0.8), 0.1)
     for p in ((0.5,), (0.5, 0.5, 0.5)):
         with pytest.raises(ValueError):
             sign_oracle.box_label(dist.normal, dist.offset, p)
         with pytest.raises(ValueError):
             dist.label(p)
-    # zero weights, and the weights after one update
-    for history in ([], [((0.5, 0.5), -1)]):
-        for p in ((0.5,), (0.5, 0.5, 0.5)):
-            adv = BoundaryProbeAdversary((-1.0, -1.0), (1.0, 1.0), 0.11)
-            adv.next_query(history, NoiseSource(0))
-            with pytest.raises(ValueError):
-                adv.next_query(history + [(p, 1)], NoiseSource(0))

@@ -140,6 +140,7 @@ def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     {"record_timing": 1},
     {"gates": {}},
     {"heldout": -5},
+    {"seed": -1},
     {"k": -1},
     {"m": -40},
     {"n_budget": -600},
@@ -153,6 +154,42 @@ def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, va
     cfg_path.write_text(json.dumps({**_small_config(tmp_path).to_dict(), **value}))
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_shared_grid_sweep_adversary_carries_nothing_between_trials(tmp_path):
+    """Every oblivious trial of one grid shape in a process gets the same
+    adversary object; trial i run again after trial j gives the same bytes."""
+    cfg = _small_config(tmp_path, t_rounds=256)
+    dist, _ = harness._build_distribution(cfg, NoiseSource(0))
+    assert harness._build_adversary(cfg, dist) is harness._build_adversary(cfg, dist)
+    first, other, again = (json.dumps(run_trial(cfg, i)[1], sort_keys=True) for i in (0, 1, 0))
+    assert first == again != other
+
+
+def test_cli_negative_seed_override_exits_with_a_message(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_small_config(tmp_path).canonical_json())
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: seed must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_halfspace_blocks_over_the_candidate_cap_fail_before_any_trial_runs(tmp_path, capsys):
+    # eps this large lets the planner take one block of all 600 points, whose
+    # first refit, at dimension d + 1 = 3, has 2 * C(600, 2) + 64 candidates
+    cfg = ExperimentConfig(mode="halfspace", t_rounds=64, d=2, n_budget=600, bt_eps=1e308,
+                           out_dir=str(tmp_path))
+    assert cfg.resolve_plan() == (1, 600)
+    with pytest.raises(ConfigurationError, match="CANDIDATE_CAP") as info:
+        harness.build_run_spec(cfg)
+    assert f"{2 * 600 * 599 // 2} boundary candidates" in str(info.value)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.canonical_json())
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "CANDIDATE_CAP" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -5,6 +5,8 @@ distribution labels and the lazily built noise generator.
 Agreement is exact: the same integer thresholds, counts and point lists.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,16 +28,18 @@ from privpredict.core import (
 )
 
 
-@st.composite
-def coordinates(draw, size):
+@functools.lru_cache(maxsize=None)
+def coordinates(size):
     """Grid points, off-grid fractions, a small pool that forces duplicates and
-    ties, and values far outside the grid."""
-    return draw(st.one_of(
+    ties, and values far outside the grid.  A plain strategy, built once per
+    grid size: building it anew for every coordinate drawn cost most of a
+    test's time."""
+    return st.one_of(
         st.integers(-3, size + 3).map(float),
         st.floats(-3.0, size + 3.0, allow_nan=False),
         st.sampled_from([1.0, 2.0, 2.5, float(size), float(size + 1)]),
         st.sampled_from([-1e18, 1e18, 2.0**60, -2.5e9]),
-    ))
+    )
 
 
 @st.composite
@@ -45,7 +49,7 @@ def threshold_cases(draw):
     labels = st.just(single) if single else st.sampled_from([1, -1])
     k, m = draw(st.integers(1, 6)), draw(st.integers(0, 12))  # m = 0: empty blocks
     records = draw(st.lists(st.tuples(coordinates(size), labels), min_size=k * m, max_size=k * m))
-    constraints = draw(st.lists(st.tuples(coordinates(size).map(lambda x: (x,)), st.sampled_from([1, -1])),
+    constraints = draw(st.lists(st.tuples(st.tuples(coordinates(size)), st.sampled_from([1, -1])),
                                 max_size=4))
     points = np.array([x for x, _ in records], dtype=float).reshape(k, m, 1)
     return ThresholdClass(size), tuple(constraints), points, np.array([lab for _, lab in records]).reshape(k, m)
