@@ -42,10 +42,6 @@ from .geometry import (
     FeasibleSubspace,
     arrangement_candidates,
     argmax_cdepth,
-    cdepth,
-    cdepth_subsample_check,
-    hull_membership,
-    to_constraint,
 )
 from .predictor import RunReport, RunSpec, default_v_max, run
 from .planner import PlanResult, plan_budgeted, plan_halfspace, plan_oblivious

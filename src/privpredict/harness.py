@@ -97,6 +97,9 @@ class ExperimentConfig:
         for name in ("seed", "k", "m", "n_budget", "v_max", "heldout"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("d", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.t_rounds < 0 or self.trials < 1:

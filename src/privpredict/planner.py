@@ -48,11 +48,11 @@ _GAP = BTParams.t_upper - BTParams.t_lower  # of the default vote thresholds
 _ANSWER_ALPHA = _GAP / 2  # the accuracy each answer is sized for
 
 
-def _check_ranges(eps_name: str, eps: float, **fractions: float) -> None:
+def _check_ranges(eps_name: str, eps: float, **shares: float) -> None:
     """Reject an eps outside (0, inf) or a fraction outside (0, 1); nan fails both."""
     if not 0 < eps < math.inf:
         raise PlanningError(f"{eps_name} = {eps:.3g} is not positive and finite")
-    for name, value in fractions.items():
+    for name, value in shares.items():
         if not 0 < value < 1:
             raise PlanningError(f"{name} = {value:.3g} falls outside (0, 1)")
 

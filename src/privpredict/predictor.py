@@ -122,8 +122,8 @@ class _HalfspaceGenerator:
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
         self.space = geometry.FeasibleSubspace.full(points.shape[2] + 1)
-        # lab * (x, -1), as geometry.to_constraint forms it; a product with
-        # +-1 is exact
+        # each block's homogeneous constraint normals lab * (x, -1); a
+        # product with +-1 is exact
         lifted = np.concatenate([points, np.full((*points.shape[:2], 1), -1.0)], axis=2)
         self.normals = labels[:, :, None] * lifted
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from depth_analysis import depth
 from privpredict.core import CapabilityError, ConfigurationError
 from privpredict.geometry import (
     _SPHERE_SEED,
@@ -81,7 +82,7 @@ def argmax_cdepth(
 ) -> CdepthArgmax:
     if subspace.dimension == 0:
         zero = np.zeros(subspace.ambient_dim)
-        return CdepthArgmax(point=zero, value=profile.depth(zero), degenerate=True)
+        return CdepthArgmax(point=zero, value=depth(profile, zero), degenerate=True)
     candidates = arrangement_candidates(profile, subspace, sphere_samples, cap)
     cand_depths = profile.depths(candidates)
     best_idx = 0

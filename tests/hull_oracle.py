@@ -1,18 +1,19 @@
 """Float reference for convex-hull membership.
 
-This is the dense Phase-I simplex (Bland's rule) that ``geometry.hull_membership``
-ran before it moved to non-negative least squares, kept verbatim with the
-decision it made by default: members at a Phase-I objective of at most 1e-9,
-non-members from 1e-6, and the exact rational solve in between.  A capped exact
-solve counted as a non-member here; ``hull_membership`` now raises instead.
+This is the dense Phase-I simplex (Bland's rule) that
+``depth_analysis.hull_membership`` ran before it moved to non-negative least
+squares, kept verbatim with the decision it made by default: members at a
+Phase-I objective of at most 1e-9, non-members from 1e-6, and the exact
+rational solve in between.  A capped exact solve counted as a non-member here;
+``hull_membership`` now raises instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from depth_analysis import _phase_one_exact
 from privpredict.core import CapabilityError, UsageError
-from privpredict.geometry import _phase_one_exact
 
 FEAS_TOL = 1e-9
 INDETERMINATE_TOL = 1e-6

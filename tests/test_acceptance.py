@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from depth_analysis import cdepth_subsample_check, default_probes, hull_membership
 from privpredict.core import NoiseSource
 from privpredict.dp import (
     BTOutcome,
@@ -22,9 +23,6 @@ from privpredict.geometry import (
     DepthProfile,
     FeasibleSubspace,
     arrangement_candidates,
-    cdepth_subsample_check,
-    default_probes,
-    hull_membership,
     subsample_size_bound,
 )
 from privpredict.harness import ExperimentConfig, run_audit, run_trial

@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depth_analysis
 import hull_oracle
-from privpredict import geometry
+from depth_analysis import cdepth, cdepth_subsample_check, depth, hull_membership, to_constraint
 from privpredict.core import CapabilityError, ConfigurationError, NoiseSource, UsageError
 from privpredict.geometry import (
     DepthProfile,
     FeasibleSubspace,
     arrangement_candidates,
     argmax_cdepth,
-    cdepth,
-    cdepth_subsample_check,
-    hull_membership,
     subsample_size_bound,
-    to_constraint,
 )
 
 
@@ -83,20 +80,20 @@ def test_realizable_target_has_full_depth():
     labels = np.where(points @ target[:2] - target[2] >= 0, 1, -1)
     normals = np.array([to_constraint(tuple(p), int(l)) for p, l in zip(points, labels)])
     profile = DepthProfile(normals)
-    assert profile.depth(target) == 20
+    assert depth(profile, target) == 20
     # direct inner-product enumeration
     assert int((normals @ target >= 0).sum()) == 20
 
 
 def test_depth_examples():
     profile = DepthProfile(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert profile.depth(np.array([1.0, 1.0])) == 2
-    assert DepthProfile(np.zeros((0, 2))).depth(np.array([1.0, 1.0])) == 0
+    assert depth(profile, np.array([1.0, 1.0])) == 2
+    assert depth(DepthProfile(np.zeros((0, 2))), np.array([1.0, 1.0])) == 0
     rng = np.random.default_rng(3)
     normals = rng.standard_normal((12, 3))
     z = rng.standard_normal(3)
     brute = sum(1 for a in normals if float(a @ z) >= -1e-12)
-    assert DepthProfile(normals).depth(z) == brute
+    assert depth(DepthProfile(normals), z) == brute
 
 
 def test_hull_membership_examples():
@@ -164,13 +161,13 @@ def test_hull_membership_pushed_vertex_goes_to_the_exact_solver(monkeypatch, pus
     # a push of 1e-10 leaves an NNLS residual below 1e-9, so a looser FEAS_TOL
     # would call the point a member
     calls = []
-    exact = geometry._phase_one_exact
+    exact = depth_analysis._phase_one_exact
 
     def spy(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(geometry, "_phase_one_exact", spy)
+    monkeypatch.setattr(depth_analysis, "_phase_one_exact", spy)
     assert not hull_membership(_TRIANGLE, np.array([1.0 + push, 0.0]))
     assert len(calls) == 1
 
@@ -179,7 +176,7 @@ def test_hull_membership_exact_solver_decides_when_nnls_stops(monkeypatch):
     def stopped(*args, **kwargs):
         raise RuntimeError("Maximum number of iterations reached.")
 
-    monkeypatch.setattr(geometry, "nnls", stopped)
+    monkeypatch.setattr(depth_analysis, "nnls", stopped)
     assert hull_membership(_TRIANGLE, np.array([0.25, 0.25]))
     assert hull_membership(_TRIANGLE, np.array([0.5, 0.5]))
     assert not hull_membership(_TRIANGLE, np.array([1.0, 1.0]))
@@ -187,7 +184,7 @@ def test_hull_membership_exact_solver_decides_when_nnls_stops(monkeypatch):
 
 
 def test_hull_membership_capped_exact_solve_raises(monkeypatch):
-    monkeypatch.setattr(geometry, "_phase_one_exact", lambda *args: None)
+    monkeypatch.setattr(depth_analysis, "_phase_one_exact", lambda *args: None)
     with pytest.raises(CapabilityError, match="pivot cap of 1400"):
         hull_membership(_TRIANGLE, _PUSHED_VERTEX)
 
@@ -199,7 +196,7 @@ def test_cdepth_one_dimensional_oracle():
 
     def interval_cdepth(z_scalar):
         depths = profile.depths(grid)
-        best = profile.depth(np.array([z_scalar, 1.0]))
+        best = depth(profile, np.array([z_scalar, 1.0]))
         for level in sorted(set(depths.tolist())):
             if level <= best:
                 continue
@@ -224,7 +221,7 @@ def test_cdepth_at_least_depth_and_fact_bound():
         cands = arrangement_candidates(profile, space, sphere_samples=16)
         for z in cands[:: max(1, len(cands) // 8)]:
             value = cdepth(profile, z, cands)
-            depth_z = profile.depth(z)
+            depth_z = depth(profile, z)
             assert value >= depth_z
             assert depth_z >= (d + 1) * value - d * n  # superlevel-hull transfer bound
 

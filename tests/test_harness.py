@@ -145,6 +145,10 @@ def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     {"m": -40},
     {"n_budget": -600},
     {"v_max": -1},
+    {"d": 0},
+    {"d": -1},
+    {"workers": 0},
+    {"workers": -1},
 ])
 def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, value, capsys):
     [key] = value

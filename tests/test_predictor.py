@@ -8,6 +8,7 @@ import pytest
 
 from privpredict.adversaries import BoundaryProbeAdversary, ObliviousAdversary, OfflineAdversary, van_der_corput_queries
 import enumerated_oracle
+from depth_analysis import to_constraint
 from privpredict.concepts import EnumeratedClass, ThresholdClass
 from privpredict.core import (
     AtomDistribution,
@@ -20,7 +21,6 @@ from privpredict.core import (
 )
 from privpredict import harness, predictor
 from privpredict.dp import PrivacyLedger, compose_advanced
-from privpredict.geometry import to_constraint
 from privpredict.predictor import (
     RunSpec,
     _HalfspaceGenerator,
