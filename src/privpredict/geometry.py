@@ -148,8 +148,8 @@ class _Scratch:
     grows: a view that does not fit replaces it with a buffer as long as
     everything taken so far, and views already handed out keep the old one
     alive.  Its size follows the chunks, so a patched KERNEL_BYTES still
-    decides it.  A function takes a fresh ``_Scratch`` and returns no view of
-    it, so the next one may overwrite everything.
+    decides it.  Whoever takes a fresh ``_Scratch`` (one per chunk of the
+    kernel) lets no view of it out, so the next one may overwrite everything.
     """
 
     def __init__(self):
@@ -169,9 +169,9 @@ def _unit_lift(basis: np.ndarray, coeffs: np.ndarray,
     """Lift coefficient rows into the ambient space and scale each to unit length.
 
     Returns the points, a view of ``scratch``, and which of them are nonzero
-    (zero rows stay zero).  The lift and the norms are stacked matrix-vector
-    and vector-vector products, which run the same kernels as ``basis @ c``
-    and ``np.linalg.norm`` on one row (a single ``coeffs @ basis.T`` does not).
+    (zero rows stay zero).  Each row, such as a boundary line's +dir, takes
+    one stacked matrix-vector and one vector-vector product, the kernels of
+    ``basis @ c`` and ``np.linalg.norm`` on one row (``coeffs @ basis.T`` is not).
     """
     points = np.matmul(basis[None], coeffs[:, :, None],
                        out=scratch.take((len(coeffs), len(basis), 1)))[:, :, 0]
@@ -215,35 +215,37 @@ def _subsets(n: int, size: int) -> np.ndarray:
     return subsets
 
 
-def _null_directions(rows: np.ndarray) -> np.ndarray:
-    """The unit null vector of each stacked (r-1) x r matrix, or zero where the
-    matrix's smallest singular value is at most RANK_TOL.
+def _null_directions(projected: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The unit null vector of each block's (r-1) x r matrix projected[:, s]
+    for each row s of ``subsets``, or zero where its smallest singular value
+    is at most RANK_TOL.
 
     For r <= 3 both come in closed form.  The direction is the perpendicular
     (-a1, a0) of the one row a at r=2, the cross product a x b of the two rows
     at r=3, scaled to unit length.  The smallest singular value is |a| at r=2;
     at r=3 its square is 2 det G / (tr G + sqrt(tr^2 G - 4 det G)) for the
-    Gram matrix G of the rows, where det G = |a x b|^2.  Larger r take both
-    from one stacked SVD.  The sign of a direction is arbitrary.
+    Gram matrix G of the rows, where det G = |a x b|^2 and G's diagonal is
+    gathered from each normal's square, taken once.  Larger r take both from
+    one stacked SVD.  The sign of a direction is arbitrary.
     """
-    r = rows.shape[-1]
+    r = projected.shape[-1]
     if r > 3:
-        _, svals, vt = np.linalg.svd(rows)
+        _, svals, vt = np.linalg.svd(projected[:, subsets])
         return np.where(svals[..., -1:] > RANK_TOL, vt[..., -1, :], 0.0)
     if r == 2:
-        a = rows[..., 0, :]
+        a = projected[:, subsets[:, 0]]
         perp = np.stack([-a[..., 1], a[..., 0]], axis=-1)
         square = np.einsum("...i,...i", perp, perp)
         full = square > RANK_TOL**2
     else:
-        a, b = rows[..., 0, :], rows[..., 1, :]
-        aa = np.einsum("...i,...i", a, a)
+        squares = np.einsum("...i,...i", projected, projected)
+        (a, aa), (b, bb) = ((projected[:, i], squares[:, i]) for i in subsets.T)
         # b less its part along a has the same cross product with a, and keeps
         # it accurate when the rows are nearly parallel
         along = np.divide(np.einsum("...i,...i", a, b), aa, out=np.zeros_like(aa), where=aa > 0)
         perp = _cross(a, b - along[..., None] * a)
         square = np.einsum("...i,...i", perp, perp)  # det G
-        trace = aa + np.einsum("...i,...i", b, b)
+        trace = aa + bb
         discriminant = np.sqrt(np.maximum(trace * trace - 4.0 * square, 0.0))
         # sigma_min^2 > RANK_TOL^2, multiplied out so a zero matrix divides nothing
         full = 2.0 * square > RANK_TOL**2 * (trace + discriminant)
@@ -251,39 +253,44 @@ def _null_directions(rows: np.ndarray) -> np.ndarray:
     return np.divide(perp, norms, out=np.zeros_like(perp), where=full[..., None])
 
 
-def _block_candidates(normals: np.ndarray, basis: np.ndarray,
-                      sphere: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_candidates(normals: np.ndarray, basis: np.ndarray, sphere: np.ndarray,
+                      scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Each block's deduplicated candidates, one block after another.
 
     ``normals`` is a (blocks, n, ambient) stack and ``sphere`` the lifted
     unit sphere sample.  Each (r-1)-subset of a block's projected normals
     gives its boundary direction from ``_null_directions`` (closed form for
-    r <= 3, a stacked SVD above), as the pair +dir, -dir.  Returns the points
-    and each block's count.
+    r <= 3, a stacked SVD above; +1 at r=1), lifted once as +dir, with -dir
+    written as 0 - (+dir), bit for bit its own lift.  The pairs go to even
+    and odd rows of one (blocks, slots, ambient) view of ``scratch``, the
+    sphere rows after them.
+    Returns the points, which may be that view, and each block's count.
     """
     k, n, ambient = normals.shape
     r = basis.shape[1]
     if r == 1:
-        coeffs = np.tile([[1.0], [-1.0]], (k, 1))
+        directions = np.ones((k, 1, 1))
     else:
         subsets = _subsets(n, r - 1)
         directions = np.zeros((k, len(subsets), r))
         if len(subsets):
             # a rank-deficient subset's boundaries do not cut down to a line; its
             # zero direction lifts to a zero point, which is dropped below
-            directions = _null_directions(np.matmul(normals, basis)[:, subsets])
-        coeffs = np.stack([directions, -directions], axis=2).reshape(-1, r)
-    boundary, nonzero = _unit_lift(basis, coeffs, _Scratch())
-    points = np.concatenate([
-        boundary.reshape(k, -1, ambient),
-        np.broadcast_to(sphere, (k, *sphere.shape)),
-    ], axis=1).reshape(-1, ambient)
-    keep = np.concatenate([
-        nonzero.reshape(k, -1),
-        np.ones((k, len(sphere)), dtype=bool),
-    ], axis=1).ravel()
-    blocks = np.repeat(np.arange(k), len(keep) // k)[keep]
-    return _first_occurrences(points[keep], blocks, k)
+            directions = _null_directions(np.matmul(normals, basis), subsets)
+    lifted, nonzero = _unit_lift(basis, directions.reshape(-1, r), scratch)
+    boundary = 2 * directions.shape[1]
+    slots = boundary + len(sphere)
+    points = scratch.take((k, slots, ambient))
+    points[:, :boundary:2] = lifted.reshape(k, -1, ambient)
+    # 0 - p is -p bit for bit, but +0.0 where p is zero, as the lift of -dir sums
+    np.subtract(0.0, points[:, :boundary:2], out=points[:, 1:boundary:2])
+    points[:, boundary:] = sphere
+    points, blocks = points.reshape(-1, ambient), np.repeat(np.arange(k), slots)
+    if nonzero.all():
+        return _first_occurrences(points, blocks, k)
+    keep = np.ones((k, slots), dtype=bool)
+    keep[:, :boundary] = np.repeat(nonzero.reshape(k, -1), 2, axis=1)
+    return _first_occurrences(points[keep.ravel()], blocks[keep.ravel()], k)
 
 
 def _first_occurrences(points: np.ndarray, blocks: np.ndarray,
@@ -330,8 +337,8 @@ def _lifted_sphere(basis: np.ndarray, sphere_samples: int) -> np.ndarray:
     return points[nonzero]
 
 
-def _block_argmax(normals: np.ndarray, points: np.ndarray,
-                  counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_argmax(normals: np.ndarray, points: np.ndarray, counts: np.ndarray,
+                  scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
     """Each block's depth argmax over its candidates, as ``argmax_cdepth``."""
     blocks = np.repeat(np.arange(len(counts)), counts)
     starts = np.cumsum(counts) - counts
@@ -341,14 +348,13 @@ def _block_argmax(normals: np.ndarray, points: np.ndarray,
     for count in np.unique(counts):
         same = np.flatnonzero(counts == count)
         rows = starts[same, None] + np.arange(count)
-        scratch = _Scratch()
         # mode="clip" writes straight into out; the default buffers a copy
         gathered = np.take(points, rows, axis=0, mode="clip",
                            out=scratch.take((len(same), count, points.shape[1])))
         product = np.matmul(normals[same], gathered.transpose(0, 2, 1),
                             out=scratch.take((len(same), normals.shape[1], count)))
         satisfied = np.greater_equal(product, -DEPTH_TOL, out=scratch.take(product.shape, bool))
-        depths[rows] = satisfied.sum(axis=1)
+        depths[rows] = satisfied.view(np.uint8).sum(axis=1, dtype=np.intp)
     # the lexsort only needs each block's deepest candidates
     deepest = np.flatnonzero(depths == np.maximum.reduceat(depths, starts)[blocks])
     order = np.lexsort((*np.round(points[deepest], 9).T[::-1], blocks[deepest]))
@@ -382,8 +388,8 @@ def arrangement_candidates(
         raise ConfigurationError("candidate generation needs a subspace of dimension >= 1")
     check_cap(len(profile), r, sphere_samples)
     points, _ = _block_candidates(_one_block(profile, subspace), subspace.basis,
-                                  _lifted_sphere(subspace.basis, sphere_samples))
-    return points if len(points) else np.empty(0)
+                                  _lifted_sphere(subspace.basis, sphere_samples), _Scratch())
+    return points.copy() if len(points) else np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -405,11 +411,11 @@ def argmax_cdepth_blocks(
     equal to ``argmax_cdepth`` on that block alone.  The blocks go through
     the kernel in chunks whose working arrays stay near KERNEL_BYTES; the
     sphere sample is lifted once for all of them.  A chunk's large arrays
-    (the lift and its norms, the gathered candidates, and the (blocks x n x
-    candidates) product and its mask) are views of a workspace that outlives
-    the call (``_Scratch``), written through ``out=`` by the same kernels as
-    a fresh array would be, so a refit allocates none of them.  The results
-    are fresh arrays.
+    (the +dir lift and its norms, the candidates built in place with -dir as
+    0 - (+dir), their gathered copy, and the (blocks x n x candidates)
+    product and its mask) are views of one ``_Scratch`` of a workspace that
+    outlives the call, written by the same kernels as a fresh array would
+    be, so a refit allocates none of them.  The results are fresh arrays.
     """
     normals = np.asarray(normals, dtype=float)
     k, n, ambient = normals.shape
@@ -419,17 +425,19 @@ def argmax_cdepth_blocks(
         return np.zeros((k, ambient)), np.full(k, n, dtype=np.intp)
     slots = check_cap(n, r, sphere_samples)
     sphere = _lifted_sphere(subspace.basis, sphere_samples)
-    step = max(1, KERNEL_BYTES // (8 * max(slots, 1) * (n + 4 * ambient)))
+    # bytes per slot: a lifted direction and norm (at most every other slot), the
+    # point, its gathered copy, and n products and mask bytes
+    step = max(1, KERNEL_BYTES // (max(slots, 1) * (9 * n + 20 * ambient + 4)))
     points = np.empty((k, ambient))
     depths = np.empty(k, dtype=np.intp)
     for lo in range(0, k, step):
-        chunk = normals[lo:lo + step]
-        candidates, counts = _block_candidates(chunk, subspace.basis, sphere)
+        chunk, scratch = normals[lo:lo + step], _Scratch()
+        candidates, counts = _block_candidates(chunk, subspace.basis, sphere, scratch)
         if not counts.all():
             raise ConfigurationError(
                 "no depth candidates: need sphere_samples > 0 or r-1 independent constraints"
             )
-        points[lo:lo + step], depths[lo:lo + step] = _block_argmax(chunk, candidates, counts)
+        points[lo:lo + step], depths[lo:lo + step] = _block_argmax(chunk, candidates, counts, scratch)
     return points, depths
 
 

@@ -230,15 +230,12 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
         else:
             vc = 1
         v_max = default_v_max(generator, vc, cfg.t_rounds, cfg.beta)
-    return RunSpec(
-        generator=generator,
-        k=k,
-        m=m,
-        t_rounds=cfg.t_rounds,
-        bt_eps=cfg.bt_eps,
-        bt_delta=cfg.bt_delta,
-        v_max=v_max,
-    )
+    spec = RunSpec(generator=generator, k=k, m=m, t_rounds=cfg.t_rounds, bt_eps=cfg.bt_eps,
+                   bt_delta=cfg.bt_delta, v_max=v_max)
+    spec.bt_params()  # the trial's BetweenThresholds parameters and grid fail here, not in it
+    if generator == "oblivious" and not cfg.concept_file:
+        _threshold_class(cfg.domain_size)
+    return spec
 
 
 def majority_vote_error(ensemble: Ensemble, sample: LabeledSample) -> float:

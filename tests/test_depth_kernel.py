@@ -189,7 +189,9 @@ def test_null_directions_match_svd(seed, r, count, kind, scale):
             rows[:, -1] = (rng.choice([1.0, -2.5, 0.5], count)[:, None] * rows[:, 0]
                            + gap[:, None] * rng.standard_normal((count, r)))
     rows *= 10.0 ** scale
-    directions = geometry._null_directions(rows)
+    # each stacked matrix as one subset of a block of count * (r - 1) projected normals
+    directions = geometry._null_directions(
+        rows.reshape(1, -1, r), np.arange(count * (r - 1)).reshape(count, r - 1))[0]
     smallest = np.linalg.svd(rows, compute_uv=False)[:, -1]
     full = np.any(directions != 0.0, axis=1)
     decided = np.abs(smallest / geometry.RANK_TOL - 1.0) > 1e-3
@@ -201,9 +203,8 @@ def test_null_directions_match_svd(seed, r, count, kind, scale):
 
 def test_cross_products_equal_np_cross_bit_for_bit():
     """The r = 3 null direction's cross product, written out by component,
-    rounds as ``np.cross`` does: on strided stacks as ``_null_directions``
-    passes them, with signed zeros, infinities, 1e+-300 and rows whose products
-    give inf - inf = nan."""
+    rounds as ``np.cross`` does: on strided stacks, with signed zeros,
+    infinities, 1e+-300 and rows whose products give inf - inf = nan."""
     rng = np.random.default_rng(11)
     pool = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300,
                      1.0, -2.5, 3.0, np.nan])
@@ -311,7 +312,8 @@ def test_multi_block_kernel_groups_unequal_candidate_counts(monkeypatch):
         [[0.3, -0.2, 0.9], [0.1, 0.5, -0.4], [-0.7, 0.2, 0.2], [0.6, 0.6, 0.1]],
     ])
     space = FeasibleSubspace.full(3)
-    _, counts = geometry._block_candidates(normals, space.basis, geometry._lifted_sphere(space.basis, 8))
+    _, counts = geometry._block_candidates(normals, space.basis,
+                                           geometry._lifted_sphere(space.basis, 8), geometry._Scratch())
     assert len(set(counts.tolist())) == 3  # three count groups, one of them of two blocks
     _assert_blocks_match(normals, space, 8)
     monkeypatch.setattr(geometry, "KERNEL_BYTES", 1)  # one block per chunk
@@ -421,7 +423,7 @@ def _assert_dedup_matches_the_lexsort(normals, space, sphere) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         calls = _dedup_calls(patch)
         geometry._block_candidates(normals, space.basis,
-                                   geometry._lifted_sphere(space.basis, sphere))
+                                   geometry._lifted_sphere(space.basis, sphere), geometry._Scratch())
     (call,) = calls
     (points, counts), (want_points, want_counts) = \
         call["result"], geometry._first_occurrences_sorted(*call["args"])
@@ -466,6 +468,79 @@ def test_acceptance_halfspace_trial_takes_the_fast_dedup_branch(monkeypatch):
     calls = _dedup_calls(monkeypatch)
     run_trial(_halfspace_config(), 0)
     assert calls and not any(call["sorted"] for call in calls)
+
+
+# --- the kernel against its form before each boundary line was lifted once ---
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 2, 7]),
+    r=st.integers(1, 5),
+    extra=st.integers(0, 2),
+    n=st.integers(0, 16),
+    copies=st.integers(0, 6),
+    integral=st.booleans(),
+    sphere=st.sampled_from([0, 8, 64]),
+    budget=st.sampled_from([None, 1, 50_000]),
+)
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_the_batched_oracle_bit_for_bit(seed, k, r, extra, n, copies, integral,
+                                                       sphere, budget):
+    """Integral, duplicated and parallel normals give equal candidates (the
+    lexsort dedup) and rank-deficient subsets (zero directions, the mask
+    path); a 1-byte budget gives one block per chunk, 50 kB a few."""
+    if r > 3:
+        n = min(n, 9)  # keeps C(n, r-1) small
+    normals, space = _block_stack(seed, k, r + extra, r, n, copies, integral)
+    sphere_points = geometry._lifted_sphere(space.basis, sphere)
+    want_points, want_counts = oracle._block_candidates(normals, space.basis, sphere_points)
+    got_points, got_counts = geometry._block_candidates(normals, space.basis, sphere_points,
+                                                        geometry._Scratch())
+    assert _same_bits(got_points, want_points) and _same_bits(got_counts, want_counts)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(geometry, "KERNEL_BYTES", budget)
+        want = _outcome(oracle.argmax_cdepth_blocks, normals, space, sphere)
+        got = _outcome(geometry.argmax_cdepth_blocks, normals, space, sphere)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def _assembly_calls(patch) -> list[bool]:
+    """Patch in a spy that records, for each ``_first_occurrences`` call,
+    whether its points are the workspace view the candidates were built in
+    (every direction nonzero) rather than a masked copy."""
+    in_place = []
+    first = geometry._first_occurrences
+
+    def spy(points, blocks, k):
+        in_place.append(np.shares_memory(points, geometry._WORKSPACE.buffer))
+        return first(points, blocks, k)
+
+    patch.setattr(geometry, "_first_occurrences", spy)
+    return in_place
+
+
+def test_acceptance_halfspace_trial_dedups_its_candidates_in_place(monkeypatch):
+    in_place = _assembly_calls(monkeypatch)
+    run_trial(_halfspace_config(), 0)
+    assert in_place and all(in_place)
+
+
+def test_zero_directions_take_the_mask_path():
+    rng = np.random.default_rng(5)
+    normals = rng.standard_normal((3, 6, 3))
+    normals[1, 4] = -2.5 * normals[1, 0]  # a parallel pair: a zero direction in block 1
+    space = FeasibleSubspace.full(3)
+    with pytest.MonkeyPatch.context() as patch:
+        in_place = _assembly_calls(patch)
+        got = geometry.argmax_cdepth_blocks(normals, space, 8)
+    assert in_place == [False]
+    want = oracle.argmax_cdepth_blocks(normals, space, 8)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
 # --- whole runs: the batched kernel and block error against the scalar ones ---

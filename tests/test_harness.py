@@ -161,6 +161,20 @@ def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, va
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("value", [{"bt_eps": -1.0}, {"bt_delta": 2.0}, {"domain_size": 0}])
+def test_plan_errors_fail_before_the_output_directory(tmp_path, value, capsys):
+    """Values a config takes, but that the trial's BetweenThresholds parameters
+    or threshold grid reject, fail in ``build_run_spec``: before any trial
+    runs and before ``runs/<digest>/`` is created."""
+    with pytest.raises(ConfigurationError):
+        harness.build_run_spec(_small_config(tmp_path, **value))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_small_config(tmp_path).to_dict(), **value}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_shared_grid_sweep_adversary_carries_nothing_between_trials(tmp_path):
     """Every oblivious trial of one grid shape in a process gets the same
     adversary object; trial i run again after trial j gives the same bytes."""
