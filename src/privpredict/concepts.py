@@ -219,11 +219,19 @@ class EnumeratedClass:
 
 
 class ThresholdEnsemble:
-    """Block thresholds in block order; block i votes +1 at x iff x >= thresholds[i]."""
+    """Block thresholds in block order; block i votes +1 at x iff x >= thresholds[i].
+
+    ``vote`` bisects the thresholds as sorted floats: CPython compares a float
+    query with a float about twice as fast as with an int.  The conversion is
+    exact for |t| < 2**53, which covers every threshold of a ``ThresholdClass``;
+    a larger |t| raises ``CapabilityError`` rather than round.
+    """
 
     def __init__(self, thresholds: list):
+        if thresholds and max(map(abs, thresholds)) >= 2**53:
+            raise CapabilityError("ensemble thresholds are limited to |t| < 2**53")
         self.thresholds = thresholds
-        self._sorted = sorted(thresholds)
+        self._sorted = sorted(map(float, thresholds))
 
     def __len__(self) -> int:
         return len(self.thresholds)

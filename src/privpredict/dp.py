@@ -7,6 +7,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from math import log  # bound once: laplace runs once per noise draw
 from typing import Callable, Hashable, Sequence
 
 from .core import (
@@ -27,8 +28,8 @@ def laplace(scale: float, noise: NoiseSource) -> float:
         raise ConfigurationError(f"Laplace scale must be positive, got {scale}")
     u = noise.uniform()
     if u < 0.5:
-        return scale * math.log(2.0 * u)
-    return -scale * math.log(2.0 * (1.0 - u))
+        return scale * log(2.0 * u)
+    return -scale * log(2.0 * (1.0 - u))
 
 
 class BTOutcome(enum.Enum):

@@ -29,6 +29,7 @@ from .core import (
     GridDistribution,
     LabeledSample,
     NoiseSource,
+    PreconditionError,
     draw_sample,
 )
 from .dp import (
@@ -232,9 +233,14 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
         v_max = default_v_max(generator, vc, cfg.t_rounds, cfg.beta)
     spec = RunSpec(generator=generator, k=k, m=m, t_rounds=cfg.t_rounds, bt_eps=cfg.bt_eps,
                    bt_delta=cfg.bt_delta, v_max=v_max)
-    spec.bt_params()  # the trial's BetweenThresholds parameters and grid fail here, not in it
+    try:  # the trial's BetweenThresholds parameters, grid and sweep fail here, not in it
+        spec.bt_params()
+    except PreconditionError as exc:
+        raise ConfigurationError(f"threshold-gap precondition binds at k={k}: {exc}") from exc
     if generator == "oblivious" and not cfg.concept_file:
         _threshold_class(cfg.domain_size)
+        if cfg.mode == "oblivious":
+            _grid_sweep(cfg.t_rounds, cfg.domain_size)
     return spec
 
 
@@ -414,7 +420,8 @@ class AuditToy:
         draw: the blocks are fit by the ERM ``run`` refits with, vote counts
         are permutation invariant, and each vote is answered by
         ``answer_query``, the step ``run`` uses.  So the vote counts of every
-        round depend on the sample alone, and are computed once per sample.
+        round depend on the sample alone.  Each sample's query values
+        count / k are computed once and cached, so a round does no division.
         ``bt_init`` and every answer draw straight from ``noise``, so calls on
         one source continue its stream.
         """
@@ -422,20 +429,18 @@ class AuditToy:
         stream = self.stream()
         k = self.k
         concept = ThresholdClass(self.domain)
-        counts_of: dict[LabeledSample, list[int]] = {}
+        queries_of: dict[LabeledSample, list[float]] = {}
 
         def mech(sample: LabeledSample, noise: NoiseSource):
-            counts = counts_of.get(sample)
-            if counts is None:
+            queries = queries_of.get(sample)
+            if queries is None:
                 blocks = concept.blocks(sample.points, sample.labels[:, None])
                 ensemble = concept.ensemble(concept.erm_blocks((), blocks))
-                # nearly every transcript halts within its first few rounds,
-                # so a count is divided on use
-                counts = counts_of[sample] = ensemble.votes(stream).tolist()
+                queries = queries_of[sample] = (ensemble.votes(stream) / k).tolist()
             state = bt_init(params, noise)
             labels: list[int] = []
-            for j, count in enumerate(counts, 1):
-                _, label = answer_query(state, count / k, noise)
+            for j, q in enumerate(queries, 1):
+                _, label = answer_query(state, q, noise)
                 labels.append(label)
                 if state.halted:  # a TOP answer halts the instance
                     return tuple(labels), j, True

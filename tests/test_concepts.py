@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 
@@ -13,10 +14,13 @@ from privpredict.concepts import (
     EnumeratedClass,
     HalfspaceEnsemble,
     ThresholdClass,
+    ThresholdEnsemble,
     VersionSpace,
     load_enumerated_class,
 )
 from privpredict.core import (
+    POSITIVE,
+    CapabilityError,
     EmptyVersionSpaceError,
     LabeledSample,
     UsageError,
@@ -312,3 +316,37 @@ def test_vote_at_a_wrong_length_point_raises_value_error(d):
     with pytest.raises(ValueError):
         ensemble.vote(("a",) * d)
     assert ensemble.vote(points[0]) == sign_oracle.ensemble_vote(weights, points[0])
+
+
+_CAP = ThresholdClass.MAX_SIZE + 1  # the largest threshold a class can produce
+
+
+@given(st.lists(st.one_of(st.integers(1, _CAP), st.integers(_CAP - 2, _CAP), st.integers(1, 3)),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_threshold_vote_matches_the_integer_count_up_to_the_class_cap(thresholds):
+    """``vote``, ``votes`` and ``labels`` count the thresholds t <= x exactly,
+    at t, t +- 0.5 and t +- 1 as floats, at t and t +- 1 as ints, and at
+    +-inf, though ``vote`` bisects the thresholds as floats.  At nan, ``vote``
+    and ``votes`` still count every block, as the bisect over the int
+    thresholds did, while ``labels`` labels no block +1."""
+    ensemble = ThresholdEnsemble(thresholds)
+    ints = [t + d for t in thresholds for d in (-1, 0, 1)]
+    xs = [float(t) + d for t in thresholds for d in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    queries = ints + xs + [float("inf"), float("-inf")]
+    positives = (ensemble.labels([(x,) for x in queries]) == POSITIVE).sum(axis=0).tolist()
+    want = [sum(t <= x for t in thresholds) for x in queries]  # exact int/float compares
+    assert [ensemble.vote((x,)) for x in queries] == want
+    assert ensemble.votes([(x,) for x in queries]).tolist() == want
+    assert positives == want
+    nan = float("nan")
+    old_vote = bisect.bisect_right(sorted(thresholds), nan)
+    assert ensemble.vote((nan,)) == ensemble.votes([(nan,)])[0] == old_vote == len(thresholds)
+    assert (ensemble.labels([(nan,)]) == POSITIVE).sum() == 0
+
+
+@pytest.mark.parametrize("t", [2**53 + 1, 2**53, -(2**53)])
+def test_threshold_ensemble_beyond_exact_floats_raises_capability_error(t):
+    with pytest.raises(CapabilityError, match=r"2\*\*53"):
+        ThresholdEnsemble([1, t])
+    assert ThresholdEnsemble([1, 2**53 - 1]).vote((2.0**53,)) == 2

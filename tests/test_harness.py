@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import audit_oracle
 from privpredict import harness, predictor
 from privpredict.cli import main
 from privpredict.concepts import HalfspaceEnsemble, ThresholdEnsemble
@@ -161,11 +162,13 @@ def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, va
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("value", [{"bt_eps": -1.0}, {"bt_delta": 2.0}, {"domain_size": 0}])
+@pytest.mark.parametrize("value", [{"bt_eps": -1.0}, {"bt_delta": 2.0}, {"domain_size": 0},
+                                   {"k": 1}, {"domain_size": 1}])
 def test_plan_errors_fail_before_the_output_directory(tmp_path, value, capsys):
     """Values a config takes, but that the trial's BetweenThresholds parameters
-    or threshold grid reject, fail in ``build_run_spec``: before any trial
-    runs and before ``runs/<digest>/`` is created."""
+    (among them a k too small for the threshold gap), threshold grid or grid
+    sweep reject, fail in ``build_run_spec``: before any trial runs and before
+    ``runs/<digest>/`` is created."""
     with pytest.raises(ConfigurationError):
         harness.build_run_spec(_small_config(tmp_path, **value))
     cfg_path = tmp_path / "cfg.json"
@@ -457,6 +460,24 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
                 assert lean == full.observable(), (scale_factor, side, seed)
                 stops.add(lean[2])
     assert stops == {False, True}  # halted and full-length transcripts both compared
+
+
+def test_audit_toy_mechanism_matches_the_divide_on_use_oracle():
+    """The mechanism that caches each sample's query values gives the same
+    transcripts as the one that divided each cached count on use, over 2,000
+    draws per sample from one source, as ``audit_dp`` draws, for the honest
+    and the broken variant."""
+    toy = AuditToy()
+    stops = set()
+    for scale_factor in (1.0, 0.5):
+        cached, oracle = toy.mechanism(scale_factor), audit_oracle.mechanism(toy, scale_factor)
+        for side, sample in enumerate(toy.samples()):
+            ours, theirs = NoiseSource(side), NoiseSource(side)
+            for draw in range(2000):
+                got = cached(sample, ours)
+                assert got == oracle(sample, theirs), (scale_factor, side, draw)
+                stops.add(got[2])
+    assert stops == {False, True}
 
 
 def test_run_audit_builds_one_generator_per_side(monkeypatch):
