@@ -9,6 +9,7 @@ the variant with silently halved noise scales should be flagged above it.
 import argparse
 import math
 
+from privpredict.cli import AUDIT_SEED, AUDIT_SLACK
 from privpredict.harness import run_audit
 
 
@@ -24,13 +25,13 @@ def describe(tag, report, budget_eps, slack):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--slack", type=float, default=0.3)
+    parser.add_argument("--seed", type=int, default=AUDIT_SEED)
+    parser.add_argument("--slack", type=float, default=AUDIT_SLACK)
     args = parser.parse_args()
 
     honest, budget_eps, budget_delta = run_audit(args.trials, args.seed, broken=False)
     broken, _, _ = run_audit(args.trials, args.seed, broken=True)
-    print(f"budget: eps={budget_eps} delta={budget_delta} (tight single-instance bound)")
+    print(f"budget: eps={budget_eps} delta={budget_delta} (its one mechanism instance)")
     describe("honest", honest, budget_eps, args.slack)
     describe("broken", broken, budget_eps, args.slack)
     honest_ok = not honest.diverged and honest.eps_hat <= budget_eps + args.slack

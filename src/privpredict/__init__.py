@@ -34,7 +34,6 @@ from .dp import (
     bt_init,
     bt_query,
     compose_advanced,
-    compose_tight,
     laplace,
 )
 from .geometry import (

@@ -1,11 +1,11 @@
-"""Query-stream generators: offline/oblivious fixed lists, stochastic draws, and
+"""Query-stream generators: an offline fixed list, stochastic draws, and
 an adaptive boundary probe that reads only the public (point, label) transcript.
 
 An adversary takes one call per round, ``next_query(j, label, noise)``: j is
 the public 1-based round index, and label the label released for the
 adversary's previous query (None on round 1).  What it sees of a run is
 therefore its own queries and their labels, by construction of the interface.
-The oblivious, offline and stochastic adversaries ignore the label and keep no
+The offline and stochastic adversaries ignore the label and keep no
 state, so one instance may serve many runs; the boundary probe keeps its last
 query and its perceptron, and serves one run.
 """
@@ -28,8 +28,9 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class ObliviousAdversary:
-    """Fixed query list revealed one point at a time, independent of any outputs."""
+class OfflineAdversary:
+    """Fixed query list revealed one point at a time, independent of any outputs.
+    ``disclose`` hands the list to measurement code before a run, never to the predictor."""
 
     points: tuple[Point, ...]
 
@@ -38,17 +39,6 @@ class ObliviousAdversary:
             raise StreamExhausted(f"fixed query list of length {len(self.points)} "
                                   f"has no query {j}")
         return self.points[j - 1]
-
-    def disclose(self) -> tuple[Point, ...] | None:
-        return None
-
-
-@dataclass(frozen=True)
-class OfflineAdversary(ObliviousAdversary):
-    """Oblivious stream plus a pre-run disclosure hook for analysis tooling.
-
-    The disclosed list goes to measurement code only, never to the predictor.
-    """
 
     def disclose(self) -> tuple[Point, ...] | None:
         return self.points

@@ -176,12 +176,6 @@ class LabeledSample:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def dimension(self) -> int:
-        if not len(self):
-            raise UsageError("empty sample has no dimension")
-        return self.points.shape[1]
-
     def records(self) -> list[tuple[Point, int]]:
         """(point tuple, int label) pairs, in Python floats and ints."""
         return list(zip(map(tuple, self.points.tolist()), self.labels.tolist()))
@@ -205,9 +199,6 @@ class GridDistribution:
     def __post_init__(self):
         if self.size < 1 or not 1 <= self.threshold <= self.size + 1:
             raise ConfigurationError("grid needs size >= 1 and threshold in [1, size+1]")
-
-    def label(self, p: Point) -> int:
-        return POSITIVE if p[0] >= self.threshold else NEGATIVE
 
     def labels(self, points) -> np.ndarray:
         return np.where(np.asarray(points, dtype=float)[:, 0] >= self.threshold, POSITIVE, NEGATIVE)
@@ -235,13 +226,10 @@ class BoxDistribution:
         # converted once, so that each call converts only the query points
         object.__setattr__(self, "_normal", np.asarray(self.normal, dtype=float))
 
-    def label(self, p: Point) -> int:
-        """+1 iff np.dot(normal, p) >= offset, as numpy rounds the product."""
-        return int(self.labels([p])[0])
-
     def labels(self, points) -> np.ndarray:
-        """``label`` of every row: a stack of (1 x d) @ (d x 1) products runs
-        the kernel of ``np.dot(normal, p)``, so it rounds each one the same."""
+        """Each row p is +1 iff np.dot(normal, p) >= offset, as numpy rounds the
+        product: a stack of (1 x d) @ (d x 1) products runs the kernel of
+        ``np.dot(normal, p)``, so it rounds each one the same."""
         pts = np.asarray(points, dtype=float)
         products = np.matmul(pts[:, None, :], self._normal[:, None])[:, 0, 0]
         return np.where(products >= self.offset, POSITIVE, NEGATIVE)

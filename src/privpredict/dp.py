@@ -69,8 +69,8 @@ class BTParams:
     threshold_scale: float = field(init=False, repr=False, compare=False)  # the shared mu
 
     def __post_init__(self):
-        if not self.eps > 0:  # also rejects nan
-            raise ConfigurationError("eps must be positive")
+        if not 0 < self.eps < math.inf:  # also rejects nan
+            raise ConfigurationError("eps must be positive and finite")
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)")
         if self.n < 1:
@@ -88,6 +88,9 @@ class BTParams:
             )
         object.__setattr__(self, "query_scale", 6.0 / (self.eps * self.n))
         object.__setattr__(self, "threshold_scale", 2.0 / (self.eps * self.n))
+        if not 0 < self.threshold_scale < self.query_scale < math.inf:
+            raise ConfigurationError(f"eps * n = {self.eps * self.n:.6g} leaves a Laplace "
+                                     "scale that is not positive and finite")
 
 
 @dataclass
@@ -163,20 +166,9 @@ def compose_advanced(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, 
         raise UsageError("advanced composition here requires one shared (eps, delta)")
     eps, delta = ledger.entries[0]
     eps_total = math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * eps
-    eps_total += k * eps * (math.exp(eps) - 1.0) / (math.exp(eps) + 1.0)
+    e = math.exp(min(eps, 40.0))  # e +- 1 round to e past 40, and e^eps overflows past 709.78
+    eps_total += k * eps * (e - 1.0) / (e + 1.0)
     return eps_total, k * delta + delta_prime
-
-
-def compose_tight(ledger: PrivacyLedger, delta_prime: float) -> tuple[float, float]:
-    """Tighter of basic and advanced composition; the reference bound for auditing."""
-    k = len(ledger)
-    eps_adv, delta_adv = compose_advanced(ledger, delta_prime)
-    if k == 0:
-        return eps_adv, delta_adv
-    eps, delta = ledger.entries[0]
-    if k * eps <= eps_adv:
-        return k * eps, k * delta
-    return eps_adv, delta_adv
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class DepthProfile:
     def __len__(self) -> int:
         return self.normals.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.normals.shape[1]
-
     def depths(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self) == 0:

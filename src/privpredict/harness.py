@@ -7,6 +7,7 @@ import csv
 import functools
 import hashlib
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -34,11 +35,9 @@ from .core import (
 )
 from .dp import (
     BTParams,
-    PrivacyLedger,
     audit_dp,
     bt_init,
     bt_query,  # noqa: F401  (kept importable here: perfbench/tracing.py wraps it)
-    compose_tight,
     first_top_events,
     label_prefix_events,
 )
@@ -56,6 +55,7 @@ CSV_COLUMNS = [
 ]
 
 MODES = ("oblivious", "halfspace", "stochastic-baseline")
+SAMPLE_CAP = 2**24  # coordinates one trial may draw, for its sample and for its heldout set
 
 
 # the Python types a JSON value of each field's annotation may load as; bool,
@@ -93,7 +93,8 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not isinstance(value, _JSON_TYPES[f.type]) or (
-                    isinstance(value, bool) and f.type != "bool"):
+                    isinstance(value, bool) and f.type != "bool") or (
+                    isinstance(value, int) and f.type == "float" and abs(value) > sys.float_info.max):
                 raise ConfigurationError(f"{f.name} must be a JSON {f.type}, got {value!r}")
         for name in ("seed", "k", "m", "n_budget", "v_max", "heldout"):
             if getattr(self, name) < 0:
@@ -105,9 +106,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.t_rounds < 0 or self.trials < 1:
             raise ConfigurationError("need t_rounds >= 0 and trials >= 1")
+        if self.seed + self.trials > 2**63:  # a trial's seed names its payload file
+            raise ConfigurationError(f"seed + trials must not pass 2**63, got {self.seed + self.trials}")
         for name in ("alpha", "beta"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+            if not sys.float_info.min <= getattr(self, name) < 1:  # so that 1/beta is finite
+                raise ConfigurationError(f"{name} must lie in [2**-1022, 1), got {getattr(self, name)!r}")
         if not self.adversary_tau >= 0:  # also rejects nan
             raise ConfigurationError(f"adversary_tau must be >= 0, got {self.adversary_tau!r}")
         for gate in self.gates:
@@ -151,7 +154,7 @@ def _check_gate(gate) -> None:
     extra = set(gate) - {"column", "max", "fraction"}
     if extra:
         raise ConfigurationError(f"unknown gate keys: {sorted(extra)}")
-    if not isinstance(gate.get("max"), (int, float)):
+    if not isinstance(gate.get("max"), (int, float)) or gate["max"] != gate["max"]:  # nan
         raise ConfigurationError(f"gate on {gate['column']!r} needs a numeric max")
     fraction = gate.get("fraction", 1.0)
     if not (isinstance(fraction, (int, float)) and 0 < fraction <= 1):
@@ -213,9 +216,17 @@ def _class_vc_dimension(path: str, content: bytes) -> int:
 
 
 def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
+    halfspace = cfg.mode == "halfspace"
+    # checked before the plan, whose divisor search runs up to n_budget; a box
+    # point has d coordinates, and any other point counts as one
+    n = max(cfg.k * cfg.m if cfg.k and cfg.m else cfg.n_budget, cfg.heldout)
+    if n * (cfg.d if halfspace else 1) > SAMPLE_CAP:
+        raise ConfigurationError(f"a trial would draw {n} points of d={cfg.d if halfspace else 1} "
+                                 f"coordinates, over harness.SAMPLE_CAP = {SAMPLE_CAP}")
+    # the trials load the class file, so one that cannot be read fails here
+    content = Path(cfg.concept_file).read_bytes() if cfg.concept_file and not halfspace else None
     k, m = cfg.resolve_plan()
-    generator = "halfspace" if cfg.mode == "halfspace" else "oblivious"
-    if generator == "halfspace":
+    if halfspace:
         try:  # the first refit runs at full dimension d + 1, so it has the most candidates
             geometry.check_cap(m, cfg.d + 1, sphere_samples=64)  # the refit's sphere samples
         except CapabilityError as exc:
@@ -223,24 +234,23 @@ def build_run_spec(cfg: ExperimentConfig) -> RunSpec:
                                      f"overflow geometry.CANDIDATE_CAP: {exc}") from exc
     if cfg.v_max:
         v_max = cfg.v_max
+    elif halfspace:
+        v_max = cfg.d + 2  # one more than the d + 1 drops of the subspace's dimension
     else:
-        if generator == "halfspace":
-            vc = cfg.d + 1
-        elif cfg.concept_file:
-            vc = _class_vc_dimension(cfg.concept_file, Path(cfg.concept_file).read_bytes())
-        else:
-            vc = 1
-        v_max = default_v_max(generator, vc, cfg.t_rounds, cfg.beta)
-    spec = RunSpec(generator=generator, k=k, m=m, t_rounds=cfg.t_rounds, bt_eps=cfg.bt_eps,
+        vc = 1 if content is None else _class_vc_dimension(cfg.concept_file, content)
+        v_max = default_v_max(vc, cfg.t_rounds, cfg.beta)
+    spec = RunSpec(k=k, m=m, t_rounds=cfg.t_rounds, bt_eps=cfg.bt_eps,
                    bt_delta=cfg.bt_delta, v_max=v_max)
     try:  # the trial's BetweenThresholds parameters, grid and sweep fail here, not in it
         spec.bt_params()
+        if not halfspace and not cfg.concept_file:
+            _threshold_class(cfg.domain_size)
+            if cfg.mode == "oblivious":
+                _grid_sweep(cfg.t_rounds, cfg.domain_size)
     except PreconditionError as exc:
         raise ConfigurationError(f"threshold-gap precondition binds at k={k}: {exc}") from exc
-    if generator == "oblivious" and not cfg.concept_file:
-        _threshold_class(cfg.domain_size)
-        if cfg.mode == "oblivious":
-            _grid_sweep(cfg.t_rounds, cfg.domain_size)
+    except CapabilityError as exc:
+        raise ConfigurationError(f"domain_size={cfg.domain_size}: {exc}") from exc
     return spec
 
 
@@ -408,10 +418,8 @@ class AuditToy:
         )
 
     def budget(self) -> tuple[float, float]:
-        """Tight composition bound over the single opened instance."""
-        ledger = PrivacyLedger()
-        ledger.append(self.bt_eps, self.bt_delta)
-        return compose_tight(ledger, self.bt_delta)
+        """The transcript's budget: the (eps, delta) of its one mechanism instance."""
+        return self.bt_eps, self.bt_delta
 
     def mechanism(self, scale_factor: float = 1.0):
         """The vote/threshold channel of a prediction run with top budget zero.
@@ -466,5 +474,4 @@ def run_audit(trials: int, seed: int, broken: bool = False):
         noise=NoiseSource(seed),
         delta=toy.bt_delta,
     )
-    budget_eps, budget_delta = toy.budget()
-    return report, budget_eps, budget_delta
+    return (report, *toy.budget())

@@ -47,7 +47,6 @@ DELTA_PRIME = 1e-6  # delta' of the advanced composition over a run's halted ins
 class RunSpec:
     """Everything one prediction run needs besides the data and the adversary."""
 
-    generator: str  # "oblivious" or "halfspace"
     k: int
     m: int
     t_rounds: int
@@ -69,10 +68,8 @@ def answer_query(state: BTState, q: float, noise: NoiseSource) -> tuple[BTOutcom
     return outcome, noise.coin()
 
 
-def default_v_max(generator: str, vc_dim: int, t_rounds: int, beta: float) -> int:
-    """Top budget: 4*(VC*log2 T + log2(1/beta)) for oblivious runs, d+2 for halfspaces."""
-    if generator == "halfspace":
-        return vc_dim + 1  # vc_dim = d+1 for halfspaces, so this is d+2
+def default_v_max(vc_dim: int, t_rounds: int, beta: float) -> int:
+    """Top budget of a version-space run: 4*(VC*log2 T + log2(1/beta))."""
     t_term = np.log2(max(t_rounds, 2))
     return int(np.ceil(4.0 * (vc_dim * t_term + np.log2(1.0 / beta))))
 
@@ -176,12 +173,6 @@ class RunReport:
     # the final ensemble, which final_hypotheses describes; not in the payload
     ensemble: Ensemble | None = field(default=None, repr=False, compare=False)
 
-    def observable(self) -> tuple:
-        """The public output channel: emitted labels, the first top round (0
-        if none) and whether the run aborted."""
-        first_top = self.top_rounds[0]["round"] if self.top_rounds else 0
-        return tuple(r["label"] for r in self.rounds), first_top, self.aborted
-
     def to_payload(self) -> dict[str, Any]:
         """The report as a JSON-ready dict; it shares its lists with the report.
 
@@ -203,7 +194,8 @@ def run(
     seed: int = 0,
     config_digest: str = "",
 ) -> RunReport:
-    """Answer spec.t_rounds adversarial queries with the block ensemble.
+    """Answer spec.t_rounds adversarial queries with the block ensemble, refit by
+    version-space ERM over ``concept`` if given, else in the feasible subspace.
 
     Round j asks ``adversary.next_query(j, label, noise)`` once, with the label
     released on round j - 1 (None on round 1); the report's rounds are the one
@@ -221,14 +213,8 @@ def run(
     order = partition(sample, spec.k, mech_noise)
     points, labels = sample.points[order], sample.labels[order]
 
-    if spec.generator == "oblivious":
-        if concept is None:
-            raise ConfigurationError("oblivious runs need a concept class")
-        generator = _ObliviousGenerator(concept, points, labels)
-    elif spec.generator == "halfspace":
-        generator = _HalfspaceGenerator(points, labels)
-    else:
-        raise ConfigurationError(f"unknown generator {spec.generator!r}")
+    generator = (_HalfspaceGenerator(points, labels) if concept is None
+                 else _ObliviousGenerator(concept, points, labels))
 
     full_queries = adversary.disclose()
     report = RunReport(seed=seed, config_digest=config_digest,
@@ -241,7 +227,7 @@ def run(
         nonlocal ensemble, vote
         ensemble, found = generator.refresh()
         vote = ensemble.vote
-        if spec.generator == "oblivious":  # found: the indices of dropped constraints
+        if concept is not None:  # found: the indices of dropped constraints
             report.fallback_flags.extend(
                 {"round": round_index, "dropped_constraint": idx} for idx in found)
             return

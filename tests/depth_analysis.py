@@ -230,7 +230,7 @@ def cdepth_subsample_check(
         raise ConfigurationError(f"subset size {m} is below the required bound {bound}")
     if m > n:
         raise ConfigurationError("subset size cannot exceed the constraint count")
-    space = FeasibleSubspace.full(profile.dim)
+    space = FeasibleSubspace.full(profile.normals.shape[1])
     if probes is None:
         probes = default_probes(profile, space)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))

@@ -1,7 +1,8 @@
 """numpy reference for the signs the halfspace round takes.
 
-``box_label`` is ``BoxDistribution.label``'s comparison of the target's dot
-product with its offset, from before labels were taken as a stack of products.
+``box_label`` is the scalar rule of ``BoxDistribution.labels``: the target's
+dot product with one point compared with its offset, from before labels were
+taken as a stack of products.
 ``ensemble_vote`` is ``HalfspaceEnsemble.vote`` from before it kept its own
 buffers.  The callers must give the same labels and votes, bit for bit.
 """
@@ -14,7 +15,7 @@ from privpredict.core import NEGATIVE, POSITIVE
 
 
 def box_label(normal, offset: float, p) -> int:
-    """``BoxDistribution.label``: the target normal is an array made once."""
+    """One point's ``BoxDistribution.labels``: the target normal is an array made once."""
     return POSITIVE if float(np.dot(np.asarray(normal, dtype=float), p)) >= offset else NEGATIVE
 
 

@@ -9,7 +9,6 @@ from adversary_oracle import BoundaryProbeOracle
 from privpredict import adversaries
 from privpredict.adversaries import (
     BoundaryProbeAdversary,
-    ObliviousAdversary,
     OfflineAdversary,
     StochasticAdversary,
     van_der_corput_queries,
@@ -24,19 +23,18 @@ def _stream(adv, labels, noise):
 
 
 def test_oblivious_order_and_exhaustion():
-    adv = ObliviousAdversary(((1.0,), (2.0,), (3.0,)))
+    adv = OfflineAdversary(((1.0,), (2.0,), (3.0,)))
     ns = NoiseSource(0)
     assert _stream(adv, (1, -1), ns) == [(1.0,), (2.0,), (3.0,)]
     for j in (0, 4):
         with pytest.raises(StreamExhausted):
             adv.next_query(j, 1, ns)
-    assert adv.disclose() is None
     assert OfflineAdversary(((1.0,),)).disclose() == ((1.0,),)
 
 
 def test_obliviousness_across_predictors():
     points = tuple((float(i),) for i in range(8))
-    adv = ObliviousAdversary(points)
+    adv = OfflineAdversary(points)
     flip = _stream(adv, [1 if j % 2 else -1 for j in range(7)], NoiseSource(1))
     agree = _stream(adv, [1] * 7, NoiseSource(1))
     assert flip == agree == list(points)

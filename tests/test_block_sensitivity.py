@@ -94,7 +94,7 @@ def _oblivious_case(concept, m, t_rounds, seed, records, changes, queries, extra
     whether some refit dropped a constraint."""
     sample = LabeledSample([p for p, _ in records], [lab for _, lab in records])
     neighbours = [(_neighbour(sample, index, *new), index) for index, new in changes]
-    spec = RunSpec("oblivious", k=K, m=m, t_rounds=t_rounds, v_max=t_rounds, **BT)
+    spec = RunSpec(k=K, m=m, t_rounds=t_rounds, v_max=t_rounds, **BT)
     found, _ = _replay(spec, sample, neighbours, OfflineAdversary(tuple(queries)), seed,
                        concept, extra)
     # which constraints a refit drops is public: every sample drops the same ones
@@ -160,7 +160,7 @@ def _halfspace_case(d, m, seed, per_chunk) -> bool:
         changed = int(block[rng.integers(m)])
         neighbours.append((_neighbour(sample, changed, rng.uniform(-1, 1, d),
                                       int(rng.choice(SIGNS))), changed))
-    spec = RunSpec("halfspace", k=K, m=m, t_rounds=32, v_max=8, **BT)
+    spec = RunSpec(k=K, m=m, t_rounds=32, v_max=8, **BT)
     adversary = BoundaryProbeAdversary([-1.0] * d, [1.0] * d, tau=0.1)
     budget = geometry.KERNEL_BYTES
     if per_chunk is not None:

@@ -170,8 +170,6 @@ def test_labeled_sample_arrays_are_read_only_copies():
     assert all(type(lab) is int for _, lab in sample.records())
     empty = LabeledSample((), ())
     assert len(empty) == 0 and empty.records() == []
-    with pytest.raises(UsageError):
-        empty.dimension
 
 
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -185,17 +183,17 @@ def test_box_label_on_the_target_boundary(d, seed):
     on = tuple(rng.uniform(-1.0, 1.0, d).tolist())
     offset = float(np.dot(normal, on))
     dist = BoxDistribution((-1.0,) * d, (1.0,) * d, normal, offset)
-    assert dist.label(on) == POSITIVE
+    assert dist.labels([on])[0] == POSITIVE
     for direction in (-2.0, 2.0):
         for i in range(d):
             near = on[:i] + (math.nextafter(on[i], direction),) + on[i + 1:]
             want = POSITIVE if float(np.dot(normal, near)) >= offset else NEGATIVE
-            assert dist.label(near) == want
+            assert dist.labels([near])[0] == want
 
 
 def test_box_label_exact_boundary_examples():
     dist = BoxDistribution((0.0, 0.0), (4.0, 4.0), (0.5, 0.25), 1.0)
-    assert dist.label((1.0, 2.0)) == POSITIVE  # 0.5 + 0.5 == 1.0 exactly
-    assert dist.label((0.0, math.nextafter(4.0, 0.0))) == NEGATIVE  # 1 - 2**-53
+    assert dist.labels([(1.0, 2.0)])[0] == POSITIVE  # 0.5 + 0.5 == 1.0 exactly
+    assert dist.labels([(0.0, math.nextafter(4.0, 0.0))])[0] == NEGATIVE  # 1 - 2**-53
     points = [(2.0, 0.0), (0.0, 4.0), (0.0, 3.5), (1.0, 2.0), (0.0, math.nextafter(4.0, 0.0))]
     assert dist.labels(points).tolist() == [POSITIVE, POSITIVE, NEGATIVE, POSITIVE, NEGATIVE]

@@ -23,11 +23,10 @@ from privpredict.dp import (
     bt_init,
     bt_query,
     compose_advanced,
-    compose_tight,
     laplace,
     required_threshold_gap,
 )
-from privpredict.harness import ExperimentConfig, run_trial
+from privpredict.harness import AuditToy, ExperimentConfig, run_trial
 from zero_noise import ZeroNoise
 
 
@@ -204,13 +203,26 @@ def test_compose_advanced_small_eps_regime():
         assert eps_total <= 3 * math.sqrt(k * math.log(1e6)) * eps
 
 
-def test_compose_tight_prefers_basic_composition():
+def test_audit_budget_is_its_one_instance():
+    """The audit toy opens one mechanism instance, so its budget is that
+    instance's (eps, delta); advanced composition of the one entry is looser."""
+    toy = AuditToy()
+    assert toy.budget() == (toy.bt_eps, toy.bt_delta) == (6.25, 0.003)
     ledger = PrivacyLedger()
-    ledger.append(6.0, 1e-3)
-    eps_tight, delta_tight = compose_tight(ledger, 1e-3)
-    assert eps_tight == 6.0
-    assert delta_tight == 1e-3
-    assert compose_advanced(ledger, 1e-3)[0] > 6.0
+    ledger.append(toy.bt_eps, toy.bt_delta)
+    assert compose_advanced(ledger, toy.bt_delta)[0] > toy.bt_eps
+
+
+def test_compose_advanced_large_eps_stays_finite():
+    """Past eps = 40 the factor (e^eps - 1)/(e^eps + 1) is 1.0 in doubles, and
+    past eps = 709.78 e^eps itself overflows: the second term is k*eps there."""
+    for eps in (40.5, 709.0, 710.0, 2.0**31 - 1):
+        ledger = PrivacyLedger()
+        for _ in range(3):
+            ledger.append(eps, 1e-3)
+        eps_total, delta_total = compose_advanced(ledger, 1e-6)
+        want = math.sqrt(2.0 * 3 * math.log(1e6)) * eps + 3 * eps
+        assert math.isclose(eps_total, want, rel_tol=1e-15) and delta_total == 3e-3 + 1e-6
 
 
 def test_compose_requires_shared_entry():

@@ -34,7 +34,7 @@ def test_box_label_decides_and_falls_back_as_numpy():
                     for i in range(d) for s in (-2.0, 2.0)]
             far = [tuple(rng.uniform(-1.0, 1.0, d).tolist()) for _ in range(4)]
             for p in [on] + near + far:
-                assert dist.label(p) == sign_oracle.box_label(normal, offset, p)
+                assert dist.labels([p])[0] == sign_oracle.box_label(normal, offset, p)
 
 
 @st.composite
@@ -72,4 +72,4 @@ def test_wrong_dimension_raises_in_label():
         with pytest.raises(ValueError):
             sign_oracle.box_label(dist.normal, dist.offset, p)
         with pytest.raises(ValueError):
-            dist.label(p)
+            dist.labels([p])

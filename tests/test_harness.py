@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import audit_oracle
 from privpredict import harness, predictor
@@ -26,7 +33,7 @@ from privpredict.harness import (
     run_trial,
 )
 from privpredict.predictor import RunSpec, run
-from privpredict.adversaries import ObliviousAdversary
+from privpredict.adversaries import OfflineAdversary
 from threshold_oracle import ThresholdHypothesis
 
 
@@ -120,6 +127,7 @@ def test_gate_evaluation():
     {"column": "top_count", "max": 3, "fraction": 0},
     {"column": "top_count", "max": 3, "fraction": 1.5},
     {"column": "top_count", "max": 3, "frac": 0.9},
+    {"column": "top_count", "max": float("nan")},
 ])
 def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     with pytest.raises(ConfigurationError):
@@ -142,6 +150,9 @@ def test_bad_gates_fail_before_any_trial_runs(tmp_path, gate, capsys):
     {"gates": {}},
     {"heldout": -5},
     {"seed": -1},
+    {"seed": 2**63 - 1},  # the second trial's seed would be 2**63
+    {"bt_eps": 10**400},  # beyond the double range
+    {"beta": 5e-324},  # subnormal: 1 / beta is infinite
     {"k": -1},
     {"m": -40},
     {"n_budget": -600},
@@ -162,13 +173,20 @@ def test_wrong_types_and_negative_counts_fail_before_any_trial_runs(tmp_path, va
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("value", [{"bt_eps": -1.0}, {"bt_delta": 2.0}, {"domain_size": 0},
-                                   {"k": 1}, {"domain_size": 1}])
+@pytest.mark.parametrize("value", [
+    {"bt_eps": -1.0}, {"bt_delta": 2.0}, {"domain_size": 0}, {"k": 1}, {"domain_size": 1},
+    {"bt_eps": 1e308},  # the query noise scale 6 / (eps * k) underflows to 0
+    {"bt_eps": float("inf")},
+    {"k": 0, "n_budget": 600_000_000_000},  # a sample of 4.4 TiB
+    {"heldout": 2**40},
+    {"mode": "halfspace", "d": 10**12},
+    {"domain_size": 2**52 + 1},  # over ThresholdClass.MAX_SIZE
+])
 def test_plan_errors_fail_before_the_output_directory(tmp_path, value, capsys):
     """Values a config takes, but that the trial's BetweenThresholds parameters
-    (among them a k too small for the threshold gap), threshold grid or grid
-    sweep reject, fail in ``build_run_spec``: before any trial runs and before
-    ``runs/<digest>/`` is created."""
+    (among them a k too small for the threshold gap), sample cap, threshold
+    grid or grid sweep reject, fail in ``build_run_spec``: before any trial
+    runs and before ``runs/<digest>/`` is created."""
     with pytest.raises(ConfigurationError):
         harness.build_run_spec(_small_config(tmp_path, **value))
     cfg_path = tmp_path / "cfg.json"
@@ -176,6 +194,74 @@ def test_plan_errors_fail_before_the_output_directory(tmp_path, value, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_unreadable_concept_file_fails_before_the_output_directory(tmp_path, capsys):
+    """The trials load the class file even when ``v_max`` is given, so a
+    missing one fails in ``build_run_spec``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _small_config(tmp_path, concept_file=str(tmp_path / "missing.json"), v_max=4)
+    cfg_path.write_text(cfg.canonical_json())
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sample_cap_is_named(tmp_path):
+    for value in ({"k": 0, "n_budget": harness.SAMPLE_CAP + 1}, {"heldout": harness.SAMPLE_CAP + 1},
+                  {"mode": "halfspace", "d": harness.SAMPLE_CAP // 208 + 1}):
+        with pytest.raises(ConfigurationError, match="SAMPLE_CAP"):
+            harness.build_run_spec(_small_config(tmp_path, **value))
+    harness.build_run_spec(_small_config(tmp_path, heldout=harness.SAMPLE_CAP))
+
+
+# JSON values for any config field: boundary and huge integers (10**400 is
+# beyond the double range), the ends of the double range, and wrong types
+_ANY_JSON = st.sampled_from((0, 1, -1, 2, 52, 2**31 - 1, 2**53 + 1, 2**63, 10**400,
+                             0.0, 0.5, 1e-308, 5e-324, 1e308, math.inf, -math.inf, math.nan,
+                             None, True, "1", [], {}))
+# Where an accepted value would make a long run (t_rounds, trials) or start
+# processes (workers), a field draws small valid values or invalid ones only;
+# out_dir is overridden by --out.
+_FUZZED_FIELDS = {
+    **{name: _ANY_JSON for name in ("seed", "alpha", "beta", "d", "domain_size", "k", "m",
+                                    "n_budget", "bt_eps", "bt_delta", "v_max",
+                                    "adversary_tau", "heldout")},
+    "mode": st.sampled_from(harness.MODES + ("", 1)),
+    "t_rounds": st.sampled_from((0, 1, 16, -1, 16.0, math.nan, None, "16")),
+    "trials": st.sampled_from((1, 0, -1, 1.0, None)),
+    "workers": st.sampled_from((1, 0, -1, 1.5, "1")),
+    "concept_file": st.sampled_from(("", "missing.json", 1, None)),
+    "record_timing": st.sampled_from((False, True, 0, "true")),
+    "gates": st.sampled_from(([], [{"column": "top_count", "max": math.inf}],
+                              [{"column": "top_count", "max": math.nan}],
+                              [{"column": "top_counts", "max": 1}], [1], "gates")),
+}
+
+
+@given(overrides=st.fixed_dictionaries({}, optional=_FUZZED_FIELDS))
+@settings(max_examples=150, deadline=None)
+def test_cli_run_accepts_or_names_a_configuration_error(overrides):
+    """``predict run`` on a config with any fields replaced returns 0, or 2 with
+    a message and no ``runs/``; it never raises, and no trial draws a sample
+    over the cap."""
+    draw = harness.draw_sample
+
+    def capped(dist, n, noise):
+        assert n * len(getattr(dist, "low", (0.0,))) <= harness.SAMPLE_CAP, (dist, n)
+        return draw(dist, n, noise)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "draw_sample", capped):
+        cfg_path = os.path.join(tmp, "cfg.json")
+        base = {"mode": "oblivious", "t_rounds": 16, "domain_size": 1024, "k": 52, "m": 4}
+        with open(cfg_path, "w") as fh:
+            json.dump({**base, **overrides}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", cfg_path, "--out", tmp])
+        if rc != 0:
+            assert rc == 2 and err.getvalue().startswith(("configuration error", "i/o error"))
+            assert not os.path.exists(os.path.join(tmp, "runs"))
 
 
 def test_shared_grid_sweep_adversary_carries_nothing_between_trials(tmp_path):
@@ -331,10 +417,10 @@ def test_enumerated_vc_dimension_is_searched_once_per_class_file(tmp_path, monke
     for trial in range(cfg.trials):
         run_trial(cfg, trial)
     assert len(searches) == 1
-    assert [s.v_max for s in specs] == [predictor.default_v_max("oblivious", 5, 64, cfg.beta)] * 2
+    assert [s.v_max for s in specs] == [predictor.default_v_max(5, 64, cfg.beta)] * 2
     # a rewritten file is searched again: the cache is keyed by content too
     cls_path.write_text(json.dumps({"points": [1, 2], "patterns": [[1, 1], [-1, 1]]}))
-    v_max = predictor.default_v_max("oblivious", 1, 64, cfg.beta)
+    v_max = predictor.default_v_max(1, 64, cfg.beta)
     assert harness.build_run_spec(cfg).v_max == v_max
     assert len(searches) == 2
 
@@ -425,6 +511,14 @@ def test_cli_audit_quick(capsys):
     assert rc == 0
 
 
+def _observable(report) -> tuple:
+    """A run's public output channel, as the audit toy's mechanism returns it:
+    the emitted labels, the first top round (0 if none) and whether the run
+    aborted."""
+    first_top = report.top_rounds[0]["round"] if report.top_rounds else 0
+    return tuple(r["label"] for r in report.rounds), first_top, report.aborted
+
+
 def test_audit_toy_mechanism_matches_full_predictor_loop():
     """The lean audited channel reproduces the full loop bit for bit, on both
     samples and for the honest and the broken (half-noise) variant.  The
@@ -442,7 +536,6 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
                 return toy.params(scale_factor)
 
         spec = ToySpec(
-            generator="oblivious",
             k=toy.k,
             m=1,
             t_rounds=toy.t_rounds,
@@ -455,9 +548,9 @@ def test_audit_toy_mechanism_matches_full_predictor_loop():
                 src = NoiseSource(seed).child(0)
                 src.permutation(len(sample))
                 lean = mech(sample, src)
-                full = run(spec, sample, ObliviousAdversary(tuple(toy.stream())),
+                full = run(spec, sample, OfflineAdversary(tuple(toy.stream())),
                            NoiseSource(seed), concept=ThresholdClass(toy.domain))
-                assert lean == full.observable(), (scale_factor, side, seed)
+                assert lean == _observable(full), (scale_factor, side, seed)
                 stops.add(lean[2])
     assert stops == {False, True}  # halted and full-length transcripts both compared
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from privpredict.adversaries import BoundaryProbeAdversary, ObliviousAdversary, OfflineAdversary, van_der_corput_queries
+from privpredict.adversaries import BoundaryProbeAdversary, OfflineAdversary, van_der_corput_queries
 import enumerated_oracle
 from depth_analysis import to_constraint
 from privpredict.concepts import EnumeratedClass, ThresholdClass
@@ -36,10 +36,10 @@ def _unanimous_run(label):
     # 52 singleton blocks over a point mass; accuracy is trivial, votes unanimous
     atom_x = 50.0
     dist = AtomDistribution(((atom_x,),), (1.0,), (label,))
-    spec = RunSpec("oblivious", k=52, m=1, t_rounds=1, bt_eps=8.0, bt_delta=1e-3, v_max=5)
+    spec = RunSpec(k=52, m=1, t_rounds=1, bt_eps=8.0, bt_delta=1e-3, v_max=5)
     sample = draw_sample(dist, 52, NoiseSource(1))
     query = (atom_x,) if label > 0 else (atom_x - 20.0,)
-    adversary = ObliviousAdversary((query,))
+    adversary = OfflineAdversary((query,))
     return run(spec, sample, adversary, ZeroNoise(2),
                concept=ThresholdClass(100), target=dist if label > 0 else None)
 
@@ -57,8 +57,8 @@ def _split_sample():
 
 
 def test_zero_noise_split_vote_is_hard():
-    spec = RunSpec("oblivious", k=52, m=1, t_rounds=1, bt_eps=8.0, bt_delta=1e-3, v_max=5)
-    adversary = ObliviousAdversary(((1.0,),))  # 26 blocks vote +1 (t=1), 26 vote -1 (t=2)
+    spec = RunSpec(k=52, m=1, t_rounds=1, bt_eps=8.0, bt_delta=1e-3, v_max=5)
+    adversary = OfflineAdversary(((1.0,),))  # 26 blocks vote +1 (t=1), 26 vote -1 (t=2)
     report = run(spec, _split_sample(), adversary, ZeroNoise(3),
                  concept=ThresholdClass(100))
     [entry] = report.rounds
@@ -70,8 +70,8 @@ def test_zero_noise_split_vote_is_hard():
 
 
 def test_budget_abort():
-    spec = RunSpec("oblivious", k=52, m=1, t_rounds=3, bt_eps=8.0, bt_delta=1e-3, v_max=0)
-    adversary = ObliviousAdversary(((1.0,), (1.0,), (1.0,)))
+    spec = RunSpec(k=52, m=1, t_rounds=3, bt_eps=8.0, bt_delta=1e-3, v_max=0)
+    adversary = OfflineAdversary(((1.0,), (1.0,), (1.0,)))
     report = run(spec, _split_sample(), adversary, ZeroNoise(3),
                  concept=ThresholdClass(100))
     assert report.aborted
@@ -82,33 +82,32 @@ def test_budget_abort():
 
 
 def test_empty_transcript_run():
-    spec = RunSpec("oblivious", k=4, m=1, t_rounds=0, bt_eps=30.0, bt_delta=0.2, v_max=2)
+    spec = RunSpec(k=4, m=1, t_rounds=0, bt_eps=30.0, bt_delta=0.2, v_max=2)
     dist = GridDistribution(64, 30)
     sample = draw_sample(dist, 4, NoiseSource(0))
-    report = run(spec, sample, ObliviousAdversary(()), NoiseSource(1),
+    report = run(spec, sample, OfflineAdversary(()), NoiseSource(1),
                  concept=ThresholdClass(64))
     assert report.rounds == []
     assert (report.eps_total, report.delta_total) == (0.0, predictor.DELTA_PRIME)
 
 
 def test_sample_size_checked():
-    spec = RunSpec("oblivious", k=4, m=2, t_rounds=1, bt_eps=30.0, bt_delta=0.2, v_max=2)
+    spec = RunSpec(k=4, m=2, t_rounds=1, bt_eps=30.0, bt_delta=0.2, v_max=2)
     sample = draw_sample(GridDistribution(64, 30), 4, NoiseSource(0))
     with pytest.raises(ConfigurationError):
-        run(spec, sample, ObliviousAdversary(((1.0,),)), NoiseSource(1),
+        run(spec, sample, OfflineAdversary(((1.0,),)), NoiseSource(1),
             concept=ThresholdClass(64))
 
 
 def test_default_v_max_values():
-    assert default_v_max("halfspace", 3, 1024, 0.1) == 4  # d = 2
-    assert default_v_max("oblivious", 1, 1024, 0.1) == math.ceil(4 * (10 + math.log2(10)))
+    assert default_v_max(1, 1024, 0.1) == math.ceil(4 * (10 + math.log2(10)))
 
 
 def _criterion_style_run(seed, t_rounds=256):
     domain = 2**12
     dist = GridDistribution(domain, domain // 2 + 1)
-    spec = RunSpec("oblivious", k=52, m=20, t_rounds=t_rounds, bt_eps=8.0, bt_delta=1e-3,
-                   v_max=default_v_max("oblivious", 1, t_rounds, 0.1))
+    spec = RunSpec(k=52, m=20, t_rounds=t_rounds, bt_eps=8.0, bt_delta=1e-3,
+                   v_max=default_v_max(1, t_rounds, 0.1))
     root = NoiseSource(seed)
     sample = draw_sample(dist, spec.k * spec.m, root.child(2))
     adversary = OfflineAdversary(tuple(van_der_corput_queries(t_rounds, domain)))
@@ -169,8 +168,8 @@ def test_transcript_shares_the_query_points_and_stays_out_of_the_collector():
     # atomic values beside it CPython's cyclic GC never tracks the record
     domain, t_rounds = 2**12, 512
     dist = GridDistribution(domain, domain // 2 + 1)
-    spec = RunSpec("oblivious", k=52, m=20, t_rounds=t_rounds, bt_eps=8.0, bt_delta=1e-3,
-                   v_max=default_v_max("oblivious", 1, t_rounds, 0.1))
+    spec = RunSpec(k=52, m=20, t_rounds=t_rounds, bt_eps=8.0, bt_delta=1e-3,
+                   v_max=default_v_max(1, t_rounds, 0.1))
     root = NoiseSource(3)
     sample = draw_sample(dist, spec.k * spec.m, root.child(2))
     points = tuple(van_der_corput_queries(t_rounds, domain))
@@ -200,7 +199,7 @@ def test_wrong_output_implies_quarter_of_votes_wrong():
         for entry in report.rounds:
             if entry["outcome"] == "top":
                 continue
-            true_label = dist.label(entry["x"])
+            true_label = dist.labels([entry["x"]])[0]
             if entry["label"] != true_label:
                 votes_for_wrong = entry["q"] if entry["label"] == 1 else 1 - entry["q"]
                 assert votes_for_wrong >= 0.25
@@ -219,7 +218,7 @@ def test_determinism_and_stateless_regeneration(monkeypatch):
     a, _ = _criterion_style_run(21)
     b, _ = _criterion_style_run(21)
     assert a.to_json() == b.to_json()
-    spec = RunSpec("oblivious", k=52, m=20, t_rounds=64, bt_eps=8.0, bt_delta=1e-3, v_max=40)
+    spec = RunSpec(k=52, m=20, t_rounds=64, bt_eps=8.0, bt_delta=1e-3, v_max=40)
     domain = 2**12
     dist = GridDistribution(domain, domain // 2 + 1)
     sample = draw_sample(dist, spec.k * spec.m, NoiseSource(21).child(2))
@@ -368,7 +367,7 @@ def test_halfspace_cdepth_progression():
     # transfer-weakened floor 1 - 2*c*alpha*(d+1): witnessing cdepth on the
     # shrunken subspace loses at most the depth-transfer factor (d+1) per query
     alpha, d = 0.1, 2
-    spec = RunSpec("halfspace", k=40, m=15, t_rounds=256, bt_eps=8.0, bt_delta=1e-2, v_max=4)
+    spec = RunSpec(k=40, m=15, t_rounds=256, bt_eps=8.0, bt_delta=1e-2, v_max=4)
     dist = BoxDistribution((-1.0, -1.0), (1.0, 1.0), (0.6, -0.8), -0.1)
     for seed in range(6):
         root = NoiseSource(400 + seed)
@@ -382,7 +381,7 @@ def test_halfspace_cdepth_progression():
 
 
 def test_halfspace_adaptive_run_round_trip():
-    spec = RunSpec("halfspace", k=40, m=15, t_rounds=128, bt_eps=8.0, bt_delta=1e-2, v_max=4)
+    spec = RunSpec(k=40, m=15, t_rounds=128, bt_eps=8.0, bt_delta=1e-2, v_max=4)
     dist = BoxDistribution((-1.0, -1.0), (1.0, 1.0), (0.8, 0.6), 0.05)
     root = NoiseSource(17)
     sample = draw_sample(dist, 600, root.child(2))

@@ -1,4 +1,5 @@
-"""The README documents only config keys and CLI flags that exist."""
+"""The README documents only config keys and CLI flags that exist, and its
+Python quick start runs."""
 
 import json
 import re
@@ -30,3 +31,8 @@ def test_readme_config_example_and_cli_synopsis_parse():
         line = re.sub(r"\{(\w+)\|[^}]*\}", r"\1", line.replace("[", "").replace("]", ""))
         argv = ["1" if re.fullmatch(r"[A-Z]+", tok) else tok for tok in line.split()[1:]]
         build_parser().parse_args(argv)
+
+
+def test_readme_python_quick_start_runs():
+    [quick_start] = _fenced("python")
+    exec(compile(quick_start, "README.md", "exec"), {})

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sign_oracle
 import threshold_oracle as oracle
 from privpredict.adversaries import van_der_corput_queries
 from privpredict.concepts import ThresholdClass, VersionSpace
@@ -22,6 +23,8 @@ from privpredict.core import (
     ConfigurationError,
     EmptyVersionSpaceError,
     GridDistribution,
+    NEGATIVE,
+    POSITIVE,
     LabeledSample,
     NoiseSource,
     draw_sample,
@@ -165,19 +168,29 @@ def test_threshold_grid_cap_is_named():
         ThresholdClass(ThresholdClass.MAX_SIZE + 1)
 
 
+def _label(dist, p) -> int:
+    """The scalar labeling rule: the grid's threshold, the box's ``np.dot``
+    against its offset, and an atom's own label."""
+    if isinstance(dist, GridDistribution):
+        return POSITIVE if p[0] >= dist.threshold else NEGATIVE
+    if isinstance(dist, BoxDistribution):
+        return sign_oracle.box_label(dist.normal, dist.offset, p)
+    return dist.label(p)
+
+
 def _assert_labels_pointwise(dist, points, labels=None):
-    """``labels`` (by default ``dist.labels(points)``) equals ``dist.label`` of
-    every row, the row given as the tuple an adversary would pass."""
+    """``labels`` (by default ``dist.labels(points)``) equals the scalar rule
+    on every row, the row given as the tuple an adversary would pass."""
     labels = dist.labels(points) if labels is None else labels
-    assert labels.tolist() == [dist.label(p) for p in map(tuple, np.asarray(points).tolist())]
+    assert labels.tolist() == [_label(dist, p) for p in map(tuple, np.asarray(points).tolist())]
 
 
 @given(size=st.integers(1, 2**40), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
        d=st.integers(1, 4), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_grid_labels_match_pointwise_label(size, n, seed, d, data):
-    """The one-pass ``labels`` of the grid, the box and the atoms equal ``label``
-    on every row, in the drawn sample and for ``labels`` itself."""
+    """The one-pass ``labels`` of the grid, the box and the atoms equal the
+    scalar rule on every row, in the drawn sample and for ``labels`` itself."""
     grid = GridDistribution(size, data.draw(st.integers(1, size + 1)))
 
     rng = np.random.default_rng(seed)
